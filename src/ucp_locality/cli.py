@@ -36,8 +36,10 @@ from .evaluation import (
     RunSettings,
     SCHEME_NONE,
     benchmark_all,
+    build_partitioning,
+    local_minimum,
 )
-from .locality import assign, partition_by_factor, partition_by_kmeans
+from .locality import assign
 from .plots import svg_bar_chart, svg_histogram, svg_interval_plot
 from .preprocess import (
     DEFAULT_Z_THRESHOLD,
@@ -322,22 +324,31 @@ def _fit_artifact(args, project: Project) -> dict:
         dataset = remove_outliers(dataset, zscore_outliers(
             dataset, threshold=args.z_threshold))
 
+    if args.model not in ALL_MODELS:
+        raise _fail(f"unknown model {args.model!r}")
     label = None
+    fallback = None
     local = list(dataset)
     if args.scheme != SCHEME_NONE:
         if args.scheme not in ALL_SCHEMES:
             raise _fail(f"unknown scheme {args.scheme!r}")
-        if args.scheme == "kmeans":
-            partitioning = partition_by_kmeans(dataset, seed=settings.seed)
-        else:
-            partitioning = partition_by_factor(dataset, int(args.scheme[1:]))
+        partitioning = build_partitioning(dataset, args.scheme, settings.seed,
+                                          settings)
         label = assign(project, partitioning)
         members = partitioning.partitions.get(label)
-        if members is not None and len(members) >= settings.min_local:
+        min_needed = local_minimum(args.model, settings)
+        if members is None:
+            fallback = f"partition {label} is empty"
+        elif len(members) < min_needed:
+            fallback = (f"partition {label} has {len(members)} projects, "
+                        f"{args.model} needs {min_needed}")
+        else:
             local = [dataset.by_id(pid) for pid in members]
 
     artifact: dict = {"partition_label": label, "local_size": len(local),
                       "model_kind": args.model, "seed": settings.seed}
+    if fallback is not None:
+        artifact["fallback"] = fallback
     if args.model == "karner":
         artifact["model"] = {"kind": "karner", "params": {}, "metadata": {}}
         return artifact
@@ -399,7 +410,10 @@ def cmd_predict(args) -> int:
     print(f"pdr: {pdr!r}")
     print(f"effort: {effort!r}")
     label = artifact.get("partition_label")
-    if label:
+    if artifact.get("fallback"):
+        print(f"partition: full dataset ({artifact['local_size']} projects), "
+              f"fell back because {artifact['fallback']}")
+    elif label:
         print(f"partition: {label} ({artifact['local_size']} projects)")
     else:
         print("partition: none (full dataset)")

@@ -15,7 +15,7 @@ from .dataset import N_FACTORS, validate_factor_score
 from .regressors.cart import cart_fit
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
 from .regressors.stepwise import stepwise_fit
-from .regressors.svr import svr_fit
+from .regressors.svr import svr_fit, svr_fit_loo
 
 DEFAULT_ALPHA = 15.0
 PDR_FLOOR = 0.01
@@ -106,6 +106,12 @@ class BaseModelParams:
                             max_depth=self.cart_max_depth)
         raise ValueError(f"unknown base model {kind!r}")
 
+    def svr_loo(self, X: np.ndarray, y: np.ndarray, folds) -> list:
+        """`fit_one("svr", ...)` on X and y without row i, for each i in
+        `folds`, solved together."""
+        return svr_fit_loo(X, y, folds, c=self.svr_c, epsilon=self.svr_epsilon,
+                           gamma=self.svr_gamma, tol=self.svr_tol)
+
     def to_dict(self) -> dict:
         return {
             "svr_c": self.svr_c, "svr_epsilon": self.svr_epsilon,
@@ -191,6 +197,9 @@ def inner_error_profile(X, y, ucp=None,
     inner fold whose training rows and held-out row match a stored entry
     takes that prediction instead of refitting; the entry is then dropped.
     Fits are deterministic, so results equal those without a memo.
+
+    The SVR folds left to fit are solved together by `svr_fit_loo`, which
+    returns the same models as fitting each fold on its own.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -205,28 +214,42 @@ def inner_error_profile(X, y, ucp=None,
     params = params or BaseModelParams()
 
     predictions = {name: np.empty(n) for name in BASE_MODELS}
+    fallbacks = np.empty(n)
+    query_keys = [None] * n
+    svr_folds = []
     keep = np.ones(n, dtype=bool)
     for i in range(n):
         keep[i] = False
         X_train, y_train = X[keep], y[keep]
-        fallback = float(y_train.mean())
+        fallbacks[i] = fallback = float(y_train.mean())
         if memo is not None:
             train_digest = hashlib.blake2b(
                 X_train.tobytes() + y_train.tobytes(), digest_size=16)
             held_out_key = _memo_key(train_digest, X[i])
-            query_key = _memo_key(train_digest, query)
+            query_keys[i] = _memo_key(train_digest, query)
         for name in BASE_MODELS:
             pred = None
             if memo is not None:
                 pred = memo.pop((name, held_out_key), None)
             if pred is None:
+                if name == "svr":
+                    # solved below, together with the other SVR folds
+                    svr_folds.append(i)
+                    continue
                 model = params.fit_one(name, X_train, y_train)
                 pred = predict_or_fallback(model, X[i], fallback)
                 if memo is not None:
-                    memo[(name, query_key)] = predict_or_fallback(
+                    memo[(name, query_keys[i])] = predict_or_fallback(
                         model, query, fallback)
             predictions[name][i] = max(pred, pdr_floor)
         keep[i] = True
+
+    for i, model in zip(svr_folds, params.svr_loo(X, y, svr_folds)):
+        pred = predict_or_fallback(model, X[i], fallbacks[i])
+        if memo is not None:
+            memo[("svr", query_keys[i])] = predict_or_fallback(
+                model, query, fallbacks[i])
+        predictions["svr"][i] = max(pred, pdr_floor)
 
     actual_effort = y * ucp_arr
     raw = {name: _metric_triple(actual_effort, predictions[name] * ucp_arr)

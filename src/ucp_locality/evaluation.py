@@ -165,8 +165,10 @@ class EvaluationReport:
         return len(self.folds)
 
 
-def _build_partitioning(training: Dataset, scheme: str, fold_seed: int,
-                        settings: RunSettings) -> Partitioning:
+def build_partitioning(training: Dataset, scheme: str, fold_seed: int,
+                       settings: RunSettings) -> Partitioning:
+    """The scheme's partitioning of a training set; k-means picks k up to
+    half the training size."""
     if scheme in FACTOR_SCHEMES:
         return partition_by_factor(training, int(scheme[1:]))
     if scheme == SCHEME_KMEANS:
@@ -174,6 +176,12 @@ def _build_partitioning(training: Dataset, scheme: str, fold_seed: int,
                                    k_max=settings.k_max, seed=fold_seed,
                                    k_cap=len(training) // 2)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def local_minimum(model: str, settings: RunSettings) -> int:
+    """Fewest local projects `model` is fit on; a smaller partition falls
+    back to the full training set."""
+    return max(settings.min_local, _MODEL_MIN_TRAIN[model])
 
 
 def _require_loocv_size(dataset: Dataset) -> None:
@@ -192,7 +200,7 @@ def fold_partitionings(dataset: Dataset, scheme: str,
     settings = settings or RunSettings()
     _require_loocv_size(dataset)
     return [
-        _build_partitioning(
+        build_partitioning(
             Dataset(tuple(p for p in dataset if p.id != test.id),
                     name=dataset.name),
             scheme, derive_seed(settings.seed, fold_index), settings)
@@ -246,7 +254,7 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
         raise ValueError(f"unknown model {model!r}")
     _require_loocv_size(dataset)
 
-    min_needed = max(settings.min_local, _MODEL_MIN_TRAIN[model])
+    min_needed = local_minimum(model, settings)
     uses_locality = scheme != SCHEME_NONE and model not in BASELINE_MODELS
     if uses_locality and partitionings is None:
         partitionings = fold_partitionings(dataset, scheme, settings)

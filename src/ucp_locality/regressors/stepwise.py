@@ -117,8 +117,9 @@ def stepwise_fit(X, y, alpha_remove: float = DEFAULT_ALPHA_REMOVE) -> StepwiseMo
     log_flags = []
     for j in range(n_features):
         col = X[:, j]
-        wants_log = not normality_check(col).is_normal
-        log_flags.append(bool(wants_log and col.min() > 0))
+        # the normality verdict matters only for a positive column
+        log_flags.append(bool(col.min() > 0
+                              and not normality_check(col).is_normal))
     Z = X.copy()
     for j, flag in enumerate(log_flags):
         if flag:

@@ -214,6 +214,34 @@ class TestPredict:
         second = capsys.readouterr().out
         assert first.splitlines()[:3] == second.splitlines()[:3]
 
+    def test_small_partition_falls_back_like_the_harness(self, tmp_path,
+                                                          capsys):
+        # e3 level L3 keeps 5 projects after outlier removal: too few for
+        # the ensemble, so the fit uses the full set, as loocv_run does
+        data = tmp_path / "d.csv"
+        save_dataset(generate_synthetic(1, 40), data)
+        project = self.BASE      # all env scores 3: e3 level L3
+        artifact = tmp_path / "model.json"
+        assert main(["predict", "--data", str(data), "--scheme", "e3",
+                     "--model", "ensemble", "--save-model", str(artifact)]
+                    + project) == 0
+        out = capsys.readouterr().out
+        assert ("partition: full dataset (39 projects), fell back because "
+                "partition L3 has 5 projects, ensemble needs 6") in out
+        assert main(["predict", "--model-file", str(artifact)] + project) == 0
+        assert capsys.readouterr().out == out
+        assert main(["predict", "--data", str(data), "--scheme", "none",
+                     "--model", "ensemble"] + project) == 0
+        full = capsys.readouterr().out
+        assert [l for l in out.splitlines() if l.startswith("pdr:")] == \
+            [l for l in full.splitlines() if l.startswith("pdr:")]
+
+    def test_unknown_model_is_user_error(self, data_csv, capsys):
+        for scheme in ("none", "e3"):
+            assert main(["predict", "--data", data_csv, "--scheme", scheme,
+                         "--model", "lasso"] + self.BASE) == 1
+            assert "unknown model 'lasso'" in capsys.readouterr().err
+
     def test_requires_exactly_one_source(self, data_csv, capsys):
         assert main(["predict"] + self.BASE) == 1
         assert main(["predict", "--data", data_csv, "--model-file", "x.json"]

@@ -223,6 +223,30 @@ class TestEnsembleFit:
         assert clone.predict(x) == pytest.approx(model.predict(x), rel=1e-15)
 
 
+def per_fold_profile(X, y, ucp, params, pdr_floor):
+    """Reference inner-validation profile: every inner fold fit on its own
+    through `fit_one`, with no memo and no stacked SVR solve."""
+    from ucp_locality.ensemble import (
+        ErrorProfile,
+        _metric_triple,
+        _normalize_across_models,
+        predict_or_fallback,
+    )
+
+    n = y.size
+    raw = {}
+    for name in BASE_MODELS:
+        preds = np.empty(n)
+        for i in range(n):
+            keep = np.ones(n, dtype=bool)
+            keep[i] = False
+            model = params.fit_one(name, X[keep], y[keep])
+            pred = predict_or_fallback(model, X[i], float(y[keep].mean()))
+            preds[i] = max(pred, pdr_floor)
+        raw[name] = _metric_triple(y * ucp, preds * ucp)
+    return ErrorProfile(raw=raw, normalized=_normalize_across_models(raw))
+
+
 class TestInnerFitMemo:
     def test_loocv_folds_equal_memo_free_fits(self, monkeypatch):
         data = generate_synthetic(5, 20)
@@ -249,14 +273,16 @@ class TestInnerFitMemo:
             scaler = minmax_fit(features)
             x_test = minmax_apply(
                 scaler, np.array(by_id[fold.test_id].size_features()))
+            X = minmax_apply(scaler, features)
+            y = np.array([p.pdr for p in local])
+            ucp = np.array([p.ucp for p in local])
             fitted = ensemble_fit(
-                minmax_apply(scaler, features),
-                np.array([p.pdr for p in local]),
-                np.array([p.ucp for p in local]),
-                alpha=settings.ensemble_alpha, params=settings.base_params,
-                pdr_floor=settings.pdr_floor)
+                X, y, ucp, alpha=settings.ensemble_alpha,
+                params=settings.base_params, pdr_floor=settings.pdr_floor)
             assert fold.weights == fitted.weights
             assert fold.base_pdrs == fitted.base_predictions(x_test)
+            assert fitted.profile == per_fold_profile(
+                X, y, ucp, settings.base_params, settings.pdr_floor)
 
     def test_memo_needs_query(self, rng):
         X, y, ucp = fixture_training(rng, 8)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ucp_locality.preprocess import normality_check
 from ucp_locality.regressors import stepwise_fit, stepwise_predict
 from ucp_locality.regressors.base import model_from_dict
 
@@ -87,6 +88,25 @@ class TestStepwiseFit:
         assert model.log_flags[0]
         assert model.feature_indices == (0,)
         assert model.coefficients[0] == pytest.approx(4.0, abs=0.05)
+
+    def test_log_flags_need_a_positive_non_normal_column(self, rng):
+        n = 40
+        skewed = rng.lognormal(0, 1.5, n)
+        columns = [
+            skewed,                                  # positive, not normal
+            rng.normal(10, 1, n),                    # positive, normal
+            (skewed - skewed.min()) / np.ptp(skewed),  # minimum exactly 0
+            np.full(n, 3.0),                         # constant positive
+            np.zeros(n),                             # constant zero
+            skewed - 2.0,                            # negative values
+        ]
+        X = np.column_stack(columns)
+        model = stepwise_fit(X, skewed + rng.normal(0, 0.1, n))
+        expected = tuple(
+            bool(not normality_check(col).is_normal and col.min() > 0)
+            for col in columns)
+        assert model.log_flags == expected
+        assert expected[0] and expected[3] and not any(expected[1:3] + expected[4:])
 
     def test_too_small_rejected(self, rng):
         X = rng.uniform(0, 1, (5, 4))

@@ -3,7 +3,14 @@ import pytest
 
 from ucp_locality.regressors import svr_fit, svr_predict
 from ucp_locality.regressors.base import model_from_dict
-from ucp_locality.regressors.svr import _TAU, _kernel_rows, resolve_gamma
+from ucp_locality.regressors.svr import (
+    _BOUND_SNAP,
+    _TAU,
+    _kernel_rows,
+    _snap_and_mark,
+    resolve_gamma,
+    svr_fit_loo,
+)
 
 
 def beta_by_row(model, X):
@@ -126,6 +133,97 @@ class TestSvrFit:
         model = svr_fit(X, y, c=100.0, epsilon=0.05)
         preds = np.array([svr_predict(model, x) for x in X])
         assert np.max(np.abs(preds - y)) <= 0.05 + model.tol
+
+
+def per_fold_fits(X, y, folds, **kwargs):
+    """Reference for svr_fit_loo: one svr_fit per left-out row."""
+    models = []
+    for i in folds:
+        keep = np.ones(len(y), dtype=bool)
+        keep[i] = False
+        models.append(svr_fit(X[keep], y[keep], **kwargs))
+    return models
+
+
+def assert_loo_equals_per_fold(X, y, folds=None, **kwargs):
+    folds = range(len(y)) if folds is None else folds
+    stacked = svr_fit_loo(X, y, folds, **kwargs)
+    reference = per_fold_fits(X, y, folds, **kwargs)
+    assert len(stacked) == len(reference)
+    for got, want in zip(stacked, reference):
+        assert got.to_dict() == want.to_dict()
+    return stacked
+
+
+class TestSvrFitLoo:
+    def test_random_sets_with_duplicate_rows(self, rng):
+        for trial in range(12):
+            n = int(rng.integers(8, 40))
+            X, y = random_instance(rng, n)
+            X[rng.integers(0, n, 3)] = X[0]
+            X[:, 3] = np.round(X[:, 3] * 2) / 2      # tied feature values
+            assert_loo_equals_per_fold(X, y)
+
+    def test_fold_with_identical_rows_is_bias_only(self):
+        X = np.vstack([np.ones((5, 4)), np.zeros((1, 4))])
+        y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 9.0])
+        models = assert_loo_equals_per_fold(X, y)
+        assert models[5].coefficients.size == 0
+        assert models[5].bias == pytest.approx(3.0)
+        assert all(m.coefficients.size for m in models[:5])
+
+    def test_smallest_inner_loo(self, rng):
+        for trial in range(20):
+            X, y = random_instance(rng, 7)
+            assert_loo_equals_per_fold(X, y)
+
+    def test_non_default_hyperparameters(self, rng):
+        X, y = random_instance(rng, 25)
+        for c, epsilon, gamma in ((0.3, 0.0, 0.5), (20.0, 0.5, 3.0),
+                                  (5.0, 0.05, None)):
+            assert_loo_equals_per_fold(X, y, c=c, epsilon=epsilon, gamma=gamma,
+                                       tol=0.01)
+
+    def test_iteration_cap_leaves_some_folds_unconverged(self, rng):
+        X, y = random_instance(rng, 30)
+        free = svr_fit_loo(X, y, range(30))
+        cap = int(np.median([m.n_iter for m in free]))
+        models = assert_loo_equals_per_fold(X, y, max_iter=cap)
+        converged = [m.converged for m in models]
+        assert any(converged) and not all(converged)
+        assert all(m.n_iter == cap for m in models if not m.converged)
+
+    def test_bound_snap_matches_scalar_rule(self):
+        # random sets rarely land within the snap distance of a bound
+        c = 0.7
+        values = np.array([-1e-13, 5e-13, 0.3, c - 5e-13, c + 1e-13, 2e-12])
+        var = np.array([0, 1, 2, 3, 0, 2])      # 0, 1 positive; 2, 3 negative
+        theta = np.full((6, 4), 0.5)
+        up = np.zeros((6, 4), dtype=bool)
+        low = np.zeros((6, 4), dtype=bool)
+        _snap_and_mark(theta, up, low, var, values, c)
+        for p, (v, idx) in enumerate(zip(values, var)):
+            want = 0.0 if v < _BOUND_SNAP else c if v > c - _BOUND_SNAP else v
+            assert theta[p, idx] == want
+            positive = idx < 2
+            assert up[p, idx] == (want < c if positive else want > 0.0)
+            assert low[p, idx] == (want > 0.0 if positive else want < c)
+
+    def test_subset_of_folds_in_given_order(self, rng):
+        X, y = random_instance(rng, 15)
+        assert_loo_equals_per_fold(X, y, folds=[9, 2, 2, 14])
+        assert svr_fit_loo(X, y, []) == []
+
+    def test_invalid_folds(self, rng):
+        X, y = random_instance(rng, 8)
+        with pytest.raises(ValueError):
+            svr_fit_loo(X, y, [8])
+        with pytest.raises(ValueError):
+            svr_fit_loo(X, y, [-1])
+        with pytest.raises(ValueError):
+            svr_fit_loo(X[:2], y[:2], [0])
+        with pytest.raises(ValueError):
+            svr_fit_loo(X, y, [0], c=0)
 
 
 class TestSvrPredict:
