@@ -47,7 +47,6 @@ from .locality import (
 from .preprocess import (
     minmax_apply,
     minmax_fit,
-    log_transform,
     normality_check,
     remove_outliers,
     zscore_outliers,
@@ -66,7 +65,7 @@ __all__ = [
     "Dataset", "Project", "compute_ucp", "compute_pdr", "compute_effort",
     "load_dataset", "save_dataset", "generate_synthetic",
     "zscore_outliers", "remove_outliers", "minmax_fit", "minmax_apply",
-    "normality_check", "log_transform",
+    "normality_check",
     "moments", "spearman", "ci95_mean", "interval_plot_data", "level_counts",
     "MergedLevel", "merge_level", "Partitioning", "partition_by_factor",
     "partition_by_kmeans", "kmeans", "dunn_index", "select_k", "assign",

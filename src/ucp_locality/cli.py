@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dataset import (
     Dataset,
@@ -24,32 +22,20 @@ from .dataset import (
     load_dataset,
     save_dataset,
 )
-from .ensemble import (
-    BaseModelParams,
-    KARNER_PDR,
-    ensemble_fit,
-    sw_productivity,
-)
+from .ensemble import BaseModelParams
 from .evaluation import (
     ALL_MODELS,
     ALL_SCHEMES,
+    LEARNER_MODELS,
+    LocalModel,
     RunSettings,
     SCHEME_NONE,
     benchmark_all,
     build_partitioning,
-    local_minimum,
+    fit_local,
 )
-from .locality import assign
 from .plots import svg_bar_chart, svg_histogram, svg_interval_plot
-from .preprocess import (
-    DEFAULT_Z_THRESHOLD,
-    ScalerParams,
-    minmax_apply,
-    minmax_fit,
-    remove_outliers,
-    zscore_outliers,
-)
-from .regressors.base import model_from_dict
+from .preprocess import DEFAULT_Z_THRESHOLD, remove_outliers, zscore_outliers
 from .report import (
     build_locality_grid,
     build_none_grid,
@@ -315,63 +301,21 @@ def _project_from_args(args) -> Project:
         raise _fail(str(exc)) from None
 
 
-def _fit_artifact(args, project: Project) -> dict:
-    """Fit the requested model on (optionally locality-restricted) training
-    data and return the artifact document."""
+def _fit_local(args, project: Project) -> LocalModel:
+    """Fit the requested model on the training data, restricted to the
+    project's partition when a learner is paired with a locality scheme."""
     dataset = _load(args.data)
     settings = _settings_from_args(args)
     if not args.keep_outliers:
         dataset = remove_outliers(dataset, zscore_outliers(
             dataset, threshold=args.z_threshold))
-
-    if args.model not in ALL_MODELS:
-        raise _fail(f"unknown model {args.model!r}")
-    label = None
-    fallback = None
-    local = list(dataset)
-    if args.scheme != SCHEME_NONE:
-        if args.scheme not in ALL_SCHEMES:
-            raise _fail(f"unknown scheme {args.scheme!r}")
+    if args.scheme != SCHEME_NONE and args.scheme not in ALL_SCHEMES:
+        raise _fail(f"unknown scheme {args.scheme!r}")
+    partitioning = None
+    if args.scheme != SCHEME_NONE and args.model in LEARNER_MODELS:
         partitioning = build_partitioning(dataset, args.scheme, settings.seed,
                                           settings)
-        label = assign(project, partitioning)
-        members = partitioning.partitions.get(label)
-        min_needed = local_minimum(args.model, settings)
-        if members is None:
-            fallback = f"partition {label} is empty"
-        elif len(members) < min_needed:
-            fallback = (f"partition {label} has {len(members)} projects, "
-                        f"{args.model} needs {min_needed}")
-        else:
-            local = [dataset.by_id(pid) for pid in members]
-
-    artifact: dict = {"partition_label": label, "local_size": len(local),
-                      "model_kind": args.model, "seed": settings.seed}
-    if fallback is not None:
-        artifact["fallback"] = fallback
-    if args.model == "karner":
-        artifact["model"] = {"kind": "karner", "params": {}, "metadata": {}}
-        return artifact
-    if args.model == "sw":
-        artifact["model"] = {"kind": "sw", "params": {}, "metadata": {}}
-        return artifact
-
-    features = np.array([p.size_features() for p in local])
-    targets = np.array([p.pdr for p in local])
-    scaler = minmax_fit(features)
-    X = minmax_apply(scaler, features)
-    if args.model == "ensemble":
-        fitted = ensemble_fit(X, targets, np.array([p.ucp for p in local]),
-                              alpha=settings.ensemble_alpha,
-                              params=settings.base_params)
-    else:
-        try:
-            fitted = settings.base_params.fit_one(args.model, X, targets)
-        except ValueError as exc:
-            raise _fail(str(exc)) from None
-    artifact["model"] = fitted.to_dict()
-    artifact["scaler"] = scaler.to_dict()
-    return artifact
+    return fit_local(dataset, project, args.model, settings, partitioning)
 
 
 def cmd_predict(args) -> int:
@@ -386,43 +330,31 @@ def cmd_predict(args) -> int:
             raise _fail(f"cannot read {args.model_file}: no such file") from None
         except json.JSONDecodeError as exc:
             raise _fail(f"invalid model file: {exc}") from None
+        local = LocalModel.from_dict(artifact)
     else:
-        artifact = _fit_artifact(args, project)
+        local = _fit_local(args, project)
         if args.save_model:
             Path(args.save_model).write_text(
-                json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+                json.dumps(local.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    kind = artifact["model"]["kind"]
-    model = model_from_dict(artifact["model"])
-    if kind == "karner":
-        pdr = KARNER_PDR
-    elif kind == "sw":
-        pdr = sw_productivity(project.env)
-    else:
-        scaler = ScalerParams.from_dict(artifact["scaler"])
-        x = minmax_apply(scaler, np.array(project.size_features()))
-        pdr = float(model.predict(x))
-
-    pdr = max(pdr, 0.01)
+    pdr = local.pdr(project)
     ucp = compute_ucp(args.uaw, args.uucw, args.tcf, args.ef)
     effort = pdr * ucp
     print(f"ucp: {ucp!r}")
     print(f"pdr: {pdr!r}")
     print(f"effort: {effort!r}")
-    label = artifact.get("partition_label")
-    if artifact.get("fallback"):
-        print(f"partition: full dataset ({artifact['local_size']} projects), "
-              f"fell back because {artifact['fallback']}")
-    elif label:
-        print(f"partition: {label} ({artifact['local_size']} projects)")
+    if local.fallback:
+        print(f"partition: full dataset ({local.local_size} projects), "
+              f"fell back because {local.fallback}")
+    elif local.partition_label:
+        print(f"partition: {local.partition_label} "
+              f"({local.local_size} projects)")
     else:
         print("partition: none (full dataset)")
-    if kind == "ensemble":
-        scaler = ScalerParams.from_dict(artifact["scaler"])
-        x = minmax_apply(scaler, np.array(project.size_features()))
-        for name in ("svr", "stepwise", "cart"):
-            w = model.weights[name]
-            base = float(model.models[name].predict(x))
+    base_pdrs = local.base_pdrs(project)
+    if base_pdrs is not None:
+        for name, base in base_pdrs.items():
+            w = local.model.weights[name]
             print(f"weight {name}: w_mae={w.w_mae:.4f} w_mbre={w.w_mbre:.4f} "
                   f"w_mibre={w.w_mibre:.4f} w={w.combined:.4f} pdr={base:.4f}")
     return EXIT_OK

@@ -183,7 +183,6 @@ def _memo_key(train_digest, row) -> bytes:
 
 def inner_error_profile(X, y, ucp=None,
                         params: BaseModelParams | None = None,
-                        pdr_floor: float = PDR_FLOOR,
                         memo: dict | None = None,
                         query=None) -> ErrorProfile:
     """Leave-one-out inside the training set for each base model, scoring
@@ -241,7 +240,7 @@ def inner_error_profile(X, y, ucp=None,
                 if memo is not None:
                     memo[(name, query_keys[i])] = predict_or_fallback(
                         model, query, fallback)
-            predictions[name][i] = max(pred, pdr_floor)
+            predictions[name][i] = max(pred, PDR_FLOOR)
         keep[i] = True
 
     for i, model in zip(svr_folds, params.svr_loo(X, y, svr_folds)):
@@ -249,7 +248,7 @@ def inner_error_profile(X, y, ucp=None,
         if memo is not None:
             memo[("svr", query_keys[i])] = predict_or_fallback(
                 model, query, fallbacks[i])
-        predictions["svr"][i] = max(pred, pdr_floor)
+        predictions["svr"][i] = max(pred, PDR_FLOOR)
 
     actual_effort = y * ucp_arr
     raw = {name: _metric_triple(actual_effort, predictions[name] * ucp_arr)
@@ -304,7 +303,6 @@ class EnsembleModel:
 
 def ensemble_fit(X, y, ucp=None, alpha: float = DEFAULT_ALPHA,
                  params: BaseModelParams | None = None,
-                 pdr_floor: float = PDR_FLOOR,
                  memo: dict | None = None, query=None) -> EnsembleModel:
     """Fit the three base models and weight them by their sigmoid-discounted
     inner-validation errors.  Training sets too small for inner validation
@@ -321,8 +319,8 @@ def ensemble_fit(X, y, ucp=None, alpha: float = DEFAULT_ALPHA,
 
     profile: ErrorProfile | None
     if y.size >= STEPWISE_MIN_TRAIN + 1:
-        profile = inner_error_profile(X, y, ucp, params, pdr_floor,
-                                      memo=memo, query=query)
+        profile = inner_error_profile(X, y, ucp, params, memo=memo,
+                                      query=query)
         normalized = profile.normalized
     else:
         profile = None
@@ -341,33 +339,3 @@ def ensemble_fit(X, y, ucp=None, alpha: float = DEFAULT_ALPHA,
                          n_train=y.size, train_mean=float(y.mean()),
                          profile=profile)
 
-
-@dataclass(frozen=True)
-class KarnerModel:
-    """Fixed 20 hours/UCP baseline; features are ignored."""
-
-    def predict(self, x) -> float:
-        return KARNER_PDR
-
-    def to_dict(self) -> dict:
-        return {"kind": "karner", "params": {}, "metadata": {}}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KarnerModel":
-        return cls()
-
-
-@dataclass(frozen=True)
-class SwModel:
-    """Three-level productivity baseline driven by the test project's
-    environmental assessment."""
-
-    def predict_env(self, env) -> float:
-        return sw_productivity(env)
-
-    def to_dict(self) -> dict:
-        return {"kind": "sw", "params": {}, "metadata": {}}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SwModel":
-        return cls()

@@ -27,7 +27,8 @@ from .locality import (
     partition_by_factor,
     partition_by_kmeans,
 )
-from .preprocess import minmax_apply, minmax_fit
+from .preprocess import ScalerParams, minmax_apply, minmax_fit
+from .regressors.base import model_from_dict
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
 
 LEARNER_MODELS = ("svr", "stepwise", "cart", "ensemble")
@@ -42,14 +43,12 @@ ALL_SCHEMES = FACTOR_SCHEMES + (SCHEME_KMEANS,)
 MIN_DATASET_SIZE = 10
 DEFAULT_MIN_LOCAL = 5
 
-# smallest training set each model kind can be fit on
+# smallest training set each learner can be fit on
 _MODEL_MIN_TRAIN = {
     "svr": 2,
     "stepwise": STEPWISE_MIN_TRAIN,
     "cart": 1,
     "ensemble": STEPWISE_MIN_TRAIN,
-    "karner": 0,
-    "sw": 0,
 }
 
 
@@ -110,7 +109,6 @@ class RunSettings:
 
     seed: int = 42
     min_local: int = DEFAULT_MIN_LOCAL
-    pdr_floor: float = PDR_FLOOR
     ensemble_alpha: float = 15.0
     k_min: int = 2
     k_max: int = 10
@@ -123,7 +121,7 @@ class RunSettings:
         return {
             "seed": self.seed,
             "min_local": self.min_local,
-            "pdr_floor": self.pdr_floor,
+            "pdr_floor": PDR_FLOOR,
             "ensemble_alpha": self.ensemble_alpha,
             "k_min": self.k_min,
             "k_max": self.k_max,
@@ -208,31 +206,142 @@ def fold_partitionings(dataset: Dataset, scheme: str,
     ]
 
 
-def _fit_and_predict(model: str, local: list[Project], test: Project,
-                     settings: RunSettings, memo: dict | None = None):
-    """Fit the configured model on the local projects (scaler fit on the
-    local set only) and predict the test project's PDR.  `memo` is the
-    ensemble's inner-fit memo for the current cell."""
+@dataclass(frozen=True)
+class LocalModel:
+    """A model fit on one project's local set: the partition the project
+    falls in (or the full training set, with the reason), the min-max
+    scaler fit on that set and the fitted learner.  The baselines have
+    neither scaler nor model.  The harness's folds and `predict` both
+    predict through it.
+
+    An artifact records the local set's size but not its ids, nor a single
+    learner's local mean PDR, so a loaded single learner that cannot
+    evaluate a project raises instead of returning the mean.
+    """
+
+    kind: str
+    partition_label: str | None
+    fallback: str | None
+    local_size: int
+    local_ids: tuple[str, ...] | None
+    seed: int
+    scaler: ScalerParams | None
+    model: object | None
+    # a single learner's local mean PDR, predicted when it cannot evaluate
+    # a project; None for the ensemble, whose learners fall back on their
+    # own, and for a learner loaded from an artifact
+    fallback_mean: float | None
+
+    def _scaled(self, project: Project) -> np.ndarray:
+        return minmax_apply(self.scaler, np.array(project.size_features()))
+
+    def pdr(self, project: Project) -> float:
+        """Predicted PDR for `project`, floored at `PDR_FLOOR`."""
+        if self.kind == "karner":
+            pdr = KARNER_PDR
+        elif self.kind == "sw":
+            pdr = sw_productivity(project.env)
+        elif self.fallback_mean is None:
+            pdr = float(self.model.predict(self._scaled(project)))
+        else:
+            pdr = predict_or_fallback(self.model, self._scaled(project),
+                                      self.fallback_mean)
+        return max(pdr, PDR_FLOOR)
+
+    def base_pdrs(self, project: Project) -> dict[str, float] | None:
+        """The ensemble's per-learner PDRs for `project`; None otherwise."""
+        if self.kind != "ensemble":
+            return None
+        return self.model.base_predictions(self._scaled(project))
+
+    def to_dict(self) -> dict:
+        """The artifact document `predict --save-model` writes."""
+        doc = {"partition_label": self.partition_label,
+               "local_size": self.local_size, "model_kind": self.kind,
+               "seed": self.seed}
+        if self.fallback is not None:
+            doc["fallback"] = self.fallback
+        if self.model is None:
+            doc["model"] = {"kind": self.kind, "params": {}, "metadata": {}}
+        else:
+            doc["model"] = self.model.to_dict()
+            doc["scaler"] = self.scaler.to_dict()
+        return doc
+
+    @classmethod
+    def from_dict(cls, data) -> "LocalModel":
+        """Rebuild from an artifact document; a missing or malformed entry
+        raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"model file must hold a JSON object, "
+                             f"not {type(data).__name__}")
+        try:
+            kind = data["model"]["kind"]
+            model = scaler = None
+            if kind not in BASELINE_MODELS:
+                model = model_from_dict(data["model"])
+                scaler = ScalerParams.from_dict(data["scaler"])
+            return cls(kind=kind, partition_label=data["partition_label"],
+                       fallback=data.get("fallback"),
+                       local_size=data["local_size"], local_ids=None,
+                       seed=data["seed"], scaler=scaler, model=model,
+                       fallback_mean=None)
+        except KeyError as exc:
+            raise ValueError(f"model file lacks the key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed model file: {exc}") from None
+
+
+def fit_local(training, test: Project, model: str, settings: RunSettings,
+              partitioning: Partitioning | None = None,
+              memo: dict | None = None) -> LocalModel:
+    """Fit `model` on the test project's local set of `training`.
+
+    With a partitioning, a learner's local set is the partition `assign`
+    puts the test project in.  A missing partition, or one smaller than
+    `local_minimum`, falls back to the full training set, with the reason.
+    The baselines fit nothing and ignore locality.  The scaler is fit on
+    the local set only; `memo` is the ensemble's inner-fit memo for the
+    current cell (see `inner_error_profile`).
+    """
+    if model not in ALL_MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    local = list(training)
+    label = fallback = None
+    if partitioning is not None and model not in BASELINE_MODELS:
+        label = assign(test, partitioning)
+        members = partitioning.partitions.get(label)
+        min_needed = local_minimum(model, settings)
+        if members is None:
+            fallback = f"partition {label} is empty"
+        elif len(members) < min_needed:
+            fallback = (f"partition {label} has {len(members)} projects, "
+                        f"{model} needs {min_needed}")
+        else:
+            by_id = {p.id: p for p in local}
+            local = [by_id[pid] for pid in members]
+    fields = dict(kind=model, partition_label=label, fallback=fallback,
+                  local_size=len(local), local_ids=tuple(p.id for p in local),
+                  seed=settings.seed)
+    if model in BASELINE_MODELS:
+        return LocalModel(**fields, scaler=None, model=None,
+                          fallback_mean=None)
+
     features = np.array([p.size_features() for p in local])
     targets = np.array([p.pdr for p in local])
-    ucps = np.array([p.ucp for p in local])
     scaler = minmax_fit(features)
     X = minmax_apply(scaler, features)
-    x_test = minmax_apply(scaler, np.array(test.size_features()))
-
-    base_pdrs = None
-    weights = None
     if model == "ensemble":
-        fitted = ensemble_fit(X, targets, ucps, alpha=settings.ensemble_alpha,
-                              params=settings.base_params,
-                              pdr_floor=settings.pdr_floor, memo=memo,
-                              query=x_test)
-        base_pdrs = fitted.base_predictions(x_test)
-        weights = fitted.weights
-        return fitted.predict(x_test), base_pdrs, weights
+        fitted = ensemble_fit(
+            X, targets, np.array([p.ucp for p in local]),
+            alpha=settings.ensemble_alpha, params=settings.base_params,
+            memo=memo,
+            query=minmax_apply(scaler, np.array(test.size_features())))
+        return LocalModel(**fields, scaler=scaler, model=fitted,
+                          fallback_mean=None)
     fitted = settings.base_params.fit_one(model, X, targets)
-    return predict_or_fallback(fitted, x_test, float(targets.mean())), \
-        base_pdrs, weights
+    return LocalModel(**fields, scaler=scaler, model=fitted,
+                      fallback_mean=float(targets.mean()))
 
 
 def loocv_run(dataset: Dataset, scheme: str, model: str,
@@ -254,7 +363,6 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
         raise ValueError(f"unknown model {model!r}")
     _require_loocv_size(dataset)
 
-    min_needed = local_minimum(model, settings)
     uses_locality = scheme != SCHEME_NONE and model not in BASELINE_MODELS
     if uses_locality and partitionings is None:
         partitionings = fold_partitionings(dataset, scheme, settings)
@@ -263,64 +371,35 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
     # inner fits shared between this cell's folds (see inner_error_profile)
     memo: dict | None = {} if model == "ensemble" else None
     folds = []
-    actuals = []
-    estimates = []
     for fold_index, test in enumerate(dataset):
         training = [p for p in dataset if p.id != test.id]
-
-        label: str | None = None
-        fallback = False
-        partition_members = None
-        local = training
-        if uses_locality:
-            partitioning = partitionings[fold_index]
-            if settings.keep_partitions:
-                partition_members = dict(partitioning.partitions)
-            label = assign(test, partitioning)
-            members = partitioning.partitions.get(label)
-            if members is None:
-                fallback = True
-            else:
-                by_id = {p.id: p for p in training}
-                candidate = [by_id[pid] for pid in members]
-                if len(candidate) < min_needed:
-                    fallback = True
-                else:
-                    local = candidate
-
-        if model == "karner":
-            pdr_raw = KARNER_PDR
-            base_pdrs = weights = None
-        elif model == "sw":
-            pdr_raw = sw_productivity(test.env)
-            base_pdrs = weights = None
-        else:
-            pdr_raw, base_pdrs, weights = _fit_and_predict(
-                model, local, test, settings, memo)
-
-        pdr = max(pdr_raw, settings.pdr_floor)
+        partitioning = partitionings[fold_index] if uses_locality else None
+        local = fit_local(training, test, model, settings, partitioning, memo)
+        pdr = local.pdr(test)
         effort = pdr * test.ucp
         folds.append(FoldTrace(
             test_id=test.id,
-            partition_label=label,
-            fallback=fallback,
-            local_size=len(local),
-            local_ids=tuple(p.id for p in local),
+            partition_label=local.partition_label,
+            fallback=local.fallback is not None,
+            local_size=local.local_size,
+            local_ids=local.local_ids,
             pdr_pred=pdr,
             effort_pred=effort,
             effort_actual=test.effort,
             ucp=test.ucp,
-            base_pdrs=base_pdrs,
-            weights=weights,
-            partition_members=partition_members,
+            base_pdrs=local.base_pdrs(test),
+            weights=local.model.weights if model == "ensemble" else None,
+            partition_members=(dict(partitioning.partitions)
+                               if partitioning is not None
+                               and settings.keep_partitions
+                               else None),
         ))
-        actuals.append(test.effort)
-        estimates.append(effort)
 
     return EvaluationReport(
         scheme=scheme,
         model=model,
-        metrics=MetricTriple.compute(actuals, estimates),
+        metrics=MetricTriple.compute([f.effort_actual for f in folds],
+                                     [f.effort_pred for f in folds]),
         folds=tuple(folds),
         seed=settings.seed,
         settings=settings.to_dict(),

@@ -1,5 +1,5 @@
-"""Outlier screening, feature scaling, normality checking and the log
-transform used before fitting regression models."""
+"""Outlier screening, feature scaling and the normality check used before
+fitting regression models."""
 
 from __future__ import annotations
 
@@ -196,10 +196,3 @@ def normality_check(values: np.ndarray, alpha: float = 0.05) -> NormalityResult:
     statistic = float(max(d_plus, d_minus))
     return NormalityResult(statistic <= critical, statistic, critical, alpha)
 
-
-def log_transform(values: np.ndarray) -> np.ndarray:
-    """Elementwise natural log; rejects non-positive values."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size and arr.min() <= 0:
-        raise ValueError("log transform requires strictly positive values")
-    return np.log(arr)

@@ -4,9 +4,6 @@ through model_from_dict."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 
 def model_from_dict(data: dict):
     """Rebuild any fitted model from its dictionary form."""
@@ -20,20 +17,7 @@ def model_from_dict(data: dict):
         "svr": svr.SvrModel,
         "stepwise": stepwise.StepwiseModel,
         "ensemble": ensemble.EnsembleModel,
-        "karner": ensemble.KarnerModel,
-        "sw": ensemble.SwModel,
     }
     if kind not in table:
         raise ValueError(f"unknown model kind {kind!r}")
     return table[kind].from_dict(data)
-
-
-def save_model(model, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -3,7 +3,15 @@ import json
 import pytest
 
 from ucp_locality.cli import main
-from ucp_locality.dataset import CSV_COLUMNS, generate_synthetic, save_dataset
+from ucp_locality.dataset import (
+    CSV_COLUMNS,
+    Dataset,
+    generate_synthetic,
+    save_dataset,
+)
+from ucp_locality.evaluation import ALL_MODELS, loocv_run
+from ucp_locality.locality import derive_seed
+from ucp_locality.preprocess import remove_outliers, zscore_outliers
 
 
 @pytest.fixture(scope="module")
@@ -206,13 +214,44 @@ class TestPredict:
         assert min(bases) - 1e-9 <= pdr <= max(bases) + 1e-9
 
     def test_artifact_round_trip(self, data_csv, tmp_path, capsys):
+        # every model, plus e4 whose level L3 keeps 5 projects of data_csv,
+        # so the ensemble falls back to the full set
+        cases = [("e3", model) for model in ALL_MODELS] + [("e4", "ensemble")]
         artifact = tmp_path / "model.json"
-        assert main(["predict", "--data", data_csv, "--model", "svr",
-                     "--save-model", str(artifact)] + self.BASE) == 0
-        first = capsys.readouterr().out
-        assert main(["predict", "--model-file", str(artifact)] + self.BASE) == 0
-        second = capsys.readouterr().out
-        assert first.splitlines()[:3] == second.splitlines()[:3]
+        for scheme, model in cases:
+            assert main(["predict", "--data", data_csv, "--scheme", scheme,
+                         "--model", model, "--save-model", str(artifact)]
+                        + self.BASE) == 0
+            first = capsys.readouterr().out
+            assert ("fell back" in first) == (scheme == "e4"), model
+            assert main(["predict", "--model-file", str(artifact)]
+                        + self.BASE) == 0
+            assert capsys.readouterr().out == first, (scheme, model)
+
+    @pytest.mark.parametrize("document", [
+        "{}", '{"model": {"kind": "svr"}}', "[1]"])
+    def test_malformed_model_file_is_user_error(self, tmp_path, capsys,
+                                                document):
+        artifact = tmp_path / "model.json"
+        artifact.write_text(document)
+        assert main(["predict", "--model-file", str(artifact)]
+                    + self.BASE) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("scheme,model,pdr", [
+        ("kmeans", "karner", 20.0), ("e3", "sw", 20.0)])
+    def test_baselines_ignore_the_scheme(self, data_csv, capsys, monkeypatch,
+                                         scheme, model, pdr):
+        def no_partitioning(*args):
+            raise AssertionError("baselines need no partitioning")
+
+        monkeypatch.setattr("ucp_locality.cli.build_partitioning",
+                            no_partitioning)
+        assert main(["predict", "--data", data_csv, "--scheme", scheme,
+                     "--model", model] + self.BASE) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"pdr: {pdr!r}" in out
+        assert "partition: none (full dataset)" in out
 
     def test_small_partition_falls_back_like_the_harness(self, tmp_path,
                                                           capsys):
@@ -256,3 +295,33 @@ class TestPredict:
         assert main(["predict", "--data", data_csv, "--uaw", "-5",
                      "--uucw", "90", "--tcf", "1.0", "--ef", "1.0",
                      "--env", "3,3,3,3,3,3,3,3"]) == 1
+
+
+class TestPredictMatchesHarness:
+    """`predict` on a leave-one-out fold's training set, with that fold's
+    seed, prints the PDR the harness predicted for the held-out project."""
+
+    @pytest.fixture(scope="class")
+    def screened(self):
+        data = generate_synthetic(5, 24)
+        return remove_outliers(data, zscore_outliers(data))
+
+    @pytest.mark.parametrize("scheme,model", [
+        ("e3", "ensemble"), ("e3", "stepwise"), ("kmeans", "ensemble"),
+        ("kmeans", "stepwise"), ("none", "sw")])
+    def test_every_fold(self, screened, tmp_path, capsys, scheme, model):
+        report = loocv_run(screened, scheme, model)
+        assert any(f.fallback for f in report.folds) == (scheme != "none")
+        for i, (test, fold) in enumerate(zip(screened, report.folds)):
+            training = tmp_path / f"fold{i}.csv"
+            save_dataset(Dataset(tuple(p for p in screened if p is not test)),
+                         training)
+            assert main([
+                "predict", "--data", str(training), "--keep-outliers",
+                "--seed", str(derive_seed(42, i)), "--scheme", scheme,
+                "--model", model, "--uaw", repr(test.uaw),
+                "--uucw", repr(test.uucw), "--tcf", repr(test.tcf),
+                "--ef", repr(test.ef),
+                "--env", ",".join(str(e) for e in test.env)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert f"pdr: {fold.pdr_pred!r}" in out, (i, out)

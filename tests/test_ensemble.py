@@ -6,6 +6,7 @@ import pytest
 from ucp_locality.dataset import generate_synthetic
 from ucp_locality.ensemble import (
     BASE_MODELS,
+    PDR_FLOOR,
     BaseModelParams,
     combine_weights,
     ensemble_fit,
@@ -223,7 +224,7 @@ class TestEnsembleFit:
         assert clone.predict(x) == pytest.approx(model.predict(x), rel=1e-15)
 
 
-def per_fold_profile(X, y, ucp, params, pdr_floor):
+def per_fold_profile(X, y, ucp, params):
     """Reference inner-validation profile: every inner fold fit on its own
     through `fit_one`, with no memo and no stacked SVR solve."""
     from ucp_locality.ensemble import (
@@ -242,7 +243,7 @@ def per_fold_profile(X, y, ucp, params, pdr_floor):
             keep[i] = False
             model = params.fit_one(name, X[keep], y[keep])
             pred = predict_or_fallback(model, X[i], float(y[keep].mean()))
-            preds[i] = max(pred, pdr_floor)
+            preds[i] = max(pred, PDR_FLOOR)
         raw[name] = _metric_triple(y * ucp, preds * ucp)
     return ErrorProfile(raw=raw, normalized=_normalize_across_models(raw))
 
@@ -278,11 +279,11 @@ class TestInnerFitMemo:
             ucp = np.array([p.ucp for p in local])
             fitted = ensemble_fit(
                 X, y, ucp, alpha=settings.ensemble_alpha,
-                params=settings.base_params, pdr_floor=settings.pdr_floor)
+                params=settings.base_params)
             assert fold.weights == fitted.weights
             assert fold.base_pdrs == fitted.base_predictions(x_test)
             assert fitted.profile == per_fold_profile(
-                X, y, ucp, settings.base_params, settings.pdr_floor)
+                X, y, ucp, settings.base_params)
 
     def test_memo_needs_query(self, rng):
         X, y, ucp = fixture_training(rng, 8)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from ucp_locality.dataset import generate_synthetic
+from ucp_locality.dataset import Dataset, generate_synthetic
 from ucp_locality.evaluation import (
     ALL_MODELS,
     ALL_SCHEMES,
+    LocalModel,
     RunSettings,
     benchmark_all,
+    build_partitioning,
+    fit_local,
     loocv_run,
     mae,
     mbre,
@@ -153,6 +156,34 @@ class TestLoocvRun:
             loocv_run(data20, "e9", "cart")
         with pytest.raises(ValueError):
             loocv_run(data20, "none", "boost")
+
+
+class TestFitLocal:
+    def test_baselines_ignore_the_partitioning(self, data20):
+        test, *training = data20
+        partitioning = build_partitioning(
+            Dataset(tuple(training)), "e3", 1, RunSettings())
+        for model in ("karner", "sw"):
+            local = fit_local(training, test, model, RunSettings(),
+                              partitioning)
+            assert local.partition_label is None and local.fallback is None
+            assert local.local_ids == tuple(p.id for p in training)
+
+    def test_artifact_predicts_the_same(self, data20):
+        test, *training = data20
+        partitioning = build_partitioning(
+            Dataset(tuple(training)), "kmeans", 1, RunSettings())
+        for model in ALL_MODELS:
+            local = fit_local(training, test, model, RunSettings(),
+                              partitioning)
+            loaded = LocalModel.from_dict(local.to_dict())
+            assert loaded.to_dict() == local.to_dict()
+            assert loaded.pdr(test) == local.pdr(test)
+            assert loaded.base_pdrs(test) == local.base_pdrs(test)
+
+    def test_unknown_model(self, data20):
+        with pytest.raises(ValueError, match="unknown model"):
+            fit_local(data20, next(iter(data20)), "boost", RunSettings())
 
 
 class TestEnsembleRun:

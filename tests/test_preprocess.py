@@ -5,7 +5,6 @@ import pytest
 from scipy import stats as sps
 
 from ucp_locality.preprocess import (
-    log_transform,
     minmax_apply,
     minmax_fit,
     normality_check,
@@ -166,15 +165,3 @@ class TestNormalityCheck:
         with pytest.raises(ValueError):
             normality_check(rng.standard_normal(50), alpha=0.5)
 
-
-class TestLogTransform:
-    def test_powers_of_e(self):
-        out = log_transform(np.array([1.0, math.e, math.e ** 2]))
-        assert out == pytest.approx([0, 1, 2])
-
-    def test_single_value(self):
-        assert log_transform(np.array([1.0]))[0] == 0
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            log_transform(np.array([0.0, 1.0]))
