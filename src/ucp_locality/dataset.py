@@ -165,10 +165,6 @@ class Dataset:
         except AttributeError:
             raise KeyError(f"unknown column {name!r}") from None
 
-    def size_matrix(self) -> np.ndarray:
-        """n x 4 array of (uaw, uucw, tcf, ef)."""
-        return np.array([p.size_features() for p in self.projects], dtype=float)
-
     def env_matrix(self) -> np.ndarray:
         """n x 8 array of environmental factor scores as floats."""
         return np.array([p.env for p in self.projects], dtype=float)

@@ -181,6 +181,20 @@ def _memo_key(train_digest, row) -> bytes:
     return h.digest()
 
 
+def fit_shared(params: BaseModelParams, name: str, X: np.ndarray,
+               y: np.ndarray, memo: dict | None):
+    """`params.fit_one(name, X, y)`, shared by a single learner's and the
+    ensemble's fit of one local set: the first stores the model under a
+    digest of X and y, the second takes it and drops the entry."""
+    if memo is None:
+        return params.fit_one(name, X, y)
+    key = (name, X.shape, hashlib.blake2b(X.tobytes() + y.tobytes()).digest())
+    model = memo.pop(key, None)
+    if model is None:
+        model = memo[key] = params.fit_one(name, X, y)
+    return model
+
+
 def inner_error_profile(X, y, ucp=None,
                         params: BaseModelParams | None = None,
                         memo: dict | None = None,
@@ -307,7 +321,7 @@ def ensemble_fit(X, y, ucp=None, alpha: float = DEFAULT_ALPHA,
     """Fit the three base models and weight them by their sigmoid-discounted
     inner-validation errors.  Training sets too small for inner validation
     fall back to equal weights.  `memo` and `query` pass through to
-    `inner_error_profile`."""
+    `inner_error_profile`; the final fits go through `fit_shared`."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     params = params or BaseModelParams()
@@ -334,7 +348,8 @@ def ensemble_fit(X, y, ucp=None, alpha: float = DEFAULT_ALPHA,
                       for m in range(3)]
         weights[name] = WeightBreakdown(*per_metric, combine_weights(*per_metric))
 
-    models = {name: params.fit_one(name, X, y) for name in BASE_MODELS}
+    models = {name: fit_shared(params, name, X, y, memo)
+              for name in BASE_MODELS}
     return EnsembleModel(models=models, weights=weights, alpha=alpha,
                          n_train=y.size, train_mean=float(y.mean()),
                          profile=profile)

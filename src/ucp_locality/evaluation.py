@@ -17,6 +17,7 @@ from .ensemble import (
     PDR_FLOOR,
     WeightBreakdown,
     ensemble_fit,
+    fit_shared,
     predict_or_fallback,
     sw_productivity,
 )
@@ -182,30 +183,6 @@ def local_minimum(model: str, settings: RunSettings) -> int:
     return max(settings.min_local, _MODEL_MIN_TRAIN[model])
 
 
-def _require_loocv_size(dataset: Dataset) -> None:
-    if len(dataset) < MIN_DATASET_SIZE:
-        raise ValueError(
-            f"LOOCV needs at least {MIN_DATASET_SIZE} projects, got {len(dataset)}")
-
-
-def fold_partitionings(dataset: Dataset, scheme: str,
-                       settings: RunSettings | None = None) -> list[Partitioning]:
-    """Each leave-one-out fold's partitioning of its training projects.
-
-    A partitioning depends only on the training set and the fold seed, so
-    one list serves every learner of a scheme.
-    """
-    settings = settings or RunSettings()
-    _require_loocv_size(dataset)
-    return [
-        build_partitioning(
-            Dataset(tuple(p for p in dataset if p.id != test.id),
-                    name=dataset.name),
-            scheme, derive_seed(settings.seed, fold_index), settings)
-        for fold_index, test in enumerate(dataset)
-    ]
-
-
 @dataclass(frozen=True)
 class LocalModel:
     """A model fit on one project's local set: the partition the project
@@ -301,8 +278,8 @@ def fit_local(training, test: Project, model: str, settings: RunSettings,
     puts the test project in.  A missing partition, or one smaller than
     `local_minimum`, falls back to the full training set, with the reason.
     The baselines fit nothing and ignore locality.  The scaler is fit on
-    the local set only; `memo` is the ensemble's inner-fit memo for the
-    current cell (see `inner_error_profile`).
+    the local set only; `memo` shares fits between the harness's folds and
+    cells (see `loocv_run`).
     """
     if model not in ALL_MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -339,41 +316,51 @@ def fit_local(training, test: Project, model: str, settings: RunSettings,
             query=minmax_apply(scaler, np.array(test.size_features())))
         return LocalModel(**fields, scaler=scaler, model=fitted,
                           fallback_mean=None)
-    fitted = settings.base_params.fit_one(model, X, targets)
+    fitted = fit_shared(settings.base_params, model, X, targets, memo)
     return LocalModel(**fields, scaler=scaler, model=fitted,
                       fallback_mean=float(targets.mean()))
 
 
 def loocv_run(dataset: Dataset, scheme: str, model: str,
               settings: RunSettings | None = None,
-              partitionings: list[Partitioning] | None = None
-              ) -> EvaluationReport:
+              memo: dict | None = None) -> EvaluationReport:
     """Leave-one-out evaluation of one (scheme, model) pair.
 
     Per fold: the partitioning, the feature scaler and the model fit all see
     only the training projects.  A local set smaller than the minimum (or a
     missing partition label) falls back to the full training set, flagged.
-    `partitionings` (from `fold_partitionings` for this dataset, scheme and
-    seed) are used instead of building each fold's partitioning here.
+
+    `memo` carries work between folds and between runs: each fold's
+    partitioning, keyed on the scheme, fold seed and training projects;
+    each base-learner fit on a local set (see `fit_shared`); and the
+    ensemble's inner-fit predictions (see `inner_error_profile`).  Keys
+    hold their inputs exactly, so any runs whose settings agree on `k_min`,
+    `k_max` and `base_params` can share a memo and get the reports fresh
+    memos give.  Without one, the run uses its own.
     """
     settings = settings or RunSettings()
     if scheme != SCHEME_NONE and scheme not in ALL_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if model not in ALL_MODELS:
         raise ValueError(f"unknown model {model!r}")
-    _require_loocv_size(dataset)
+    if len(dataset) < MIN_DATASET_SIZE:
+        raise ValueError(
+            f"LOOCV needs at least {MIN_DATASET_SIZE} projects, got {len(dataset)}")
 
     uses_locality = scheme != SCHEME_NONE and model not in BASELINE_MODELS
-    if uses_locality and partitionings is None:
-        partitionings = fold_partitionings(dataset, scheme, settings)
-    if uses_locality and len(partitionings) != len(dataset):
-        raise ValueError("need one partitioning per fold")
-    # inner fits shared between this cell's folds (see inner_error_profile)
-    memo: dict | None = {} if model == "ensemble" else None
+    memo = {} if memo is None else memo
     folds = []
     for fold_index, test in enumerate(dataset):
-        training = [p for p in dataset if p.id != test.id]
-        partitioning = partitionings[fold_index] if uses_locality else None
+        training = tuple(p for p in dataset if p.id != test.id)
+        partitioning = None
+        if uses_locality:
+            fold_seed = derive_seed(settings.seed, fold_index)
+            key = (scheme, fold_seed, training)
+            partitioning = memo.get(key)
+            if partitioning is None:
+                partitioning = memo[key] = build_partitioning(
+                    Dataset(training, name=dataset.name), scheme, fold_seed,
+                    settings)
         local = fit_local(training, test, model, settings, partitioning, memo)
         pdr = local.pdr(test)
         effort = pdr * test.ucp
@@ -412,8 +399,9 @@ def benchmark_all(dataset: Dataset, settings: RunSettings | None = None,
     no-locality runs for the learners and both baselines.
 
     `schemes`/`models` filter the grid; baselines ignore locality so they
-    only appear in the no-locality rows.  Each scheme's fold partitionings
-    are built once and shared by its learners.
+    only appear in the no-locality rows.  Each scheme's cells share one
+    memo, so a fold's partitioning and each base-learner fit on a local set
+    are computed once for the scheme (see `loocv_run`).
     """
     settings = settings or RunSettings()
     scheme_list = list(schemes) if schemes is not None \
@@ -422,12 +410,9 @@ def benchmark_all(dataset: Dataset, settings: RunSettings | None = None,
 
     reports = []
     for scheme in scheme_list:
-        cell_models = [m for m in model_list
-                       if scheme == SCHEME_NONE or m not in BASELINE_MODELS]
-        partitionings = None
-        if scheme != SCHEME_NONE and cell_models:
-            partitionings = fold_partitionings(dataset, scheme, settings)
-        for model in cell_models:
-            reports.append(loocv_run(dataset, scheme, model, settings,
-                                     partitionings))
+        memo: dict = {}
+        for model in model_list:
+            if scheme == SCHEME_NONE or model not in BASELINE_MODELS:
+                reports.append(loocv_run(dataset, scheme, model, settings,
+                                         memo))
     return reports

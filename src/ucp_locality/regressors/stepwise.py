@@ -128,10 +128,10 @@ def stepwise_fit(X, y, alpha_remove: float = DEFAULT_ALPHA_REMOVE) -> StepwiseMo
     active = list(range(n_features))
     while active:
         design = np.column_stack([np.ones(n)] + [Z[:, j] for j in active])
-        if np.linalg.matrix_rank(design) < design.shape[1]:
+        coefs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank < design.shape[1]:
             del active[_vif_drop(Z, active)]
             continue
-        coefs, *_ = np.linalg.lstsq(design, y, rcond=None)
         p_values = _coefficient_p_values(design, y, coefs)
         feature_p = p_values[1:]
         worst = int(np.argmax(feature_p))

@@ -1,7 +1,12 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ucp_locality import ensemble, evaluation
 from ucp_locality.dataset import Dataset, generate_synthetic
+from ucp_locality.ensemble import BaseModelParams
 from ucp_locality.evaluation import (
     ALL_MODELS,
     ALL_SCHEMES,
@@ -216,12 +221,75 @@ class TestBenchmarkAll:
             assert a.metrics == b.metrics
 
     def test_cells_equal_standalone_runs(self, data20):
-        # the grid shares each fold's partitioning across a scheme's
-        # learners; every cell must still equal its own loocv_run
+        # a scheme's cells share one memo of fold partitionings and
+        # base-learner fits; every cell must still equal its own loocv_run
         settings = RunSettings(seed=3)
         for report in benchmark_all(data20, settings):
             assert report == loocv_run(data20, report.scheme, report.model,
                                        settings)
+
+    def test_ensemble_first_equals_standalone_runs(self, data20):
+        # a shared fit is handed to the first later cell that asks and then
+        # dropped, so results must not depend on which cell fits first
+        settings = RunSettings(seed=3)
+        reports = benchmark_all(
+            data20, settings, schemes=["e1", "kmeans", "none"],
+            models=["ensemble", "svr", "stepwise", "cart"])
+        assert len(reports) == 12
+        for report in reports:
+            assert report == loocv_run(data20, report.scheme, report.model,
+                                       settings)
+
+    def test_shared_memo_keys_are_exact(self, data20):
+        # generate_synthetic numbers its projects the same way for every
+        # seed, so `other` shares data20's ids but not its values, and
+        # `rescaled` shares its size features but not its PDRs
+        other = generate_synthetic(6, 20)
+        assert other.ids() == data20.ids()
+        rescaled = Dataset(tuple(replace(p, effort=1.5 * p.effort)
+                                 for p in data20))
+        memo = {}
+        for dataset, seed in ((data20, 3), (other, 3), (rescaled, 3),
+                              (data20, 4)):
+            settings = RunSettings(seed=seed)
+            for scheme, model in (("kmeans", "svr"), ("kmeans", "ensemble"),
+                                  ("e2", "cart"), ("none", "stepwise")):
+                assert loocv_run(dataset, scheme, model, settings, memo) \
+                    == loocv_run(dataset, scheme, model, settings)
+
+    def test_grid_fits_each_local_set_once(self, data20, monkeypatch):
+        # outside the ensemble's inner leave-one-out, a fold fits each
+        # learner on a given local set once: the single-learner cell and
+        # the ensemble cell share that fit
+        where = {"inner": False}
+        fits = Counter()
+
+        def track(module, name, enter):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                saved = dict(where)
+                enter(*args)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    where.update(saved)
+            monkeypatch.setattr(module, name, wrapper)
+
+        def count(params, kind, X, y):
+            if not where["inner"]:
+                fits[where["scheme"], where["test"], kind, X.tobytes(),
+                     y.tobytes()] += 1
+
+        track(evaluation, "loocv_run",
+              lambda dataset, scheme, *_: where.update(scheme=scheme))
+        track(evaluation, "fit_local",
+              lambda training, test, *_: where.update(test=test.id))
+        track(ensemble, "inner_error_profile",
+              lambda *_: where.update(inner=True))
+        track(BaseModelParams, "fit_one", count)
+        assert len(benchmark_all(data20, RunSettings(seed=3))) == 42
+        assert fits and max(fits.values()) == 1
 
     def test_filters(self, data20):
         reports = benchmark_all(data20, RunSettings(), schemes=["e2"],
