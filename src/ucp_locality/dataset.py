@@ -148,12 +148,6 @@ class Dataset:
     def ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.projects)
 
-    def by_id(self, project_id: str) -> Project:
-        for p in self.projects:
-            if p.id == project_id:
-                return p
-        raise KeyError(project_id)
-
     def column(self, name: str) -> np.ndarray:
         """Numeric column by variable name: pdr, effort, ucp, uaw, uucw,
         tcf, ef, or e1..e8."""
@@ -177,12 +171,6 @@ class Dataset:
         if missing:
             raise KeyError(f"ids not in dataset: {sorted(missing)}")
         return Dataset(kept, name=name or self.name)
-
-    def without(self, project_id: str) -> "Dataset":
-        kept = tuple(p for p in self.projects if p.id != project_id)
-        if len(kept) == len(self.projects):
-            raise KeyError(project_id)
-        return Dataset(kept, name=self.name)
 
 
 def _parse_float(raw: str, column: str, row: int) -> float:

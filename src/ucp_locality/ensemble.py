@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import N_FACTORS, validate_factor_score
-from .regressors.cart import cart_fit
+from .regressors.cart import cart_fit, cart_fit_loo
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
 from .regressors.stepwise import stepwise_fit
 from .regressors.svr import svr_fit, svr_fit_loo
@@ -111,6 +111,14 @@ class BaseModelParams:
         `folds`, solved together."""
         return svr_fit_loo(X, y, folds, c=self.svr_c, epsilon=self.svr_epsilon,
                            gamma=self.svr_gamma, tol=self.svr_tol)
+
+    def cart_loo(self, X: np.ndarray, y: np.ndarray, folds, query=None):
+        """What `fit_one("cart", ...)` on X and y without row i predicts at
+        X[i] and at `query`, for each i in `folds`, grown together."""
+        return cart_fit_loo(X, y, folds, query,
+                            min_split=self.cart_min_split,
+                            min_leaf=self.cart_min_leaf,
+                            max_depth=self.cart_max_depth)
 
     def to_dict(self) -> dict:
         return {
@@ -212,7 +220,10 @@ def inner_error_profile(X, y, ucp=None,
     Fits are deterministic, so results equal those without a memo.
 
     The SVR folds left to fit are solved together by `svr_fit_loo`, which
-    returns the same models as fitting each fold on its own.
+    returns the same models as fitting each fold on its own.  The CART folds
+    left to fit are grown together by `cart_fit_loo`, only along the paths
+    of their held-out row and `query`, with the same predictions as each
+    fold's full tree.  Stepwise folds are fit one at a time.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -229,7 +240,8 @@ def inner_error_profile(X, y, ucp=None,
     predictions = {name: np.empty(n) for name in BASE_MODELS}
     fallbacks = np.empty(n)
     query_keys = [None] * n
-    svr_folds = []
+    # folds of the learners whose inner fits are solved together below
+    loo_folds = {"svr": [], "cart": []}
     keep = np.ones(n, dtype=bool)
     for i in range(n):
         keep[i] = False
@@ -244,11 +256,10 @@ def inner_error_profile(X, y, ucp=None,
             pred = None
             if memo is not None:
                 pred = memo.pop((name, held_out_key), None)
+            if pred is None and name in loo_folds:
+                loo_folds[name].append(i)
+                continue
             if pred is None:
-                if name == "svr":
-                    # solved below, together with the other SVR folds
-                    svr_folds.append(i)
-                    continue
                 model = params.fit_one(name, X_train, y_train)
                 pred = predict_or_fallback(model, X[i], fallback)
                 if memo is not None:
@@ -257,12 +268,20 @@ def inner_error_profile(X, y, ucp=None,
             predictions[name][i] = max(pred, PDR_FLOOR)
         keep[i] = True
 
+    svr_folds = loo_folds["svr"]
     for i, model in zip(svr_folds, params.svr_loo(X, y, svr_folds)):
         pred = predict_or_fallback(model, X[i], fallbacks[i])
         if memo is not None:
             memo[("svr", query_keys[i])] = predict_or_fallback(
                 model, query, fallbacks[i])
         predictions["svr"][i] = max(pred, PDR_FLOOR)
+
+    cart_folds = loo_folds["cart"]
+    held_out, at_query = params.cart_loo(X, y, cart_folds, query)
+    for k, i in enumerate(cart_folds):
+        predictions["cart"][i] = max(float(held_out[k]), PDR_FLOOR)
+        if memo is not None:
+            memo[("cart", query_keys[i])] = float(at_query[k])
 
     actual_effort = y * ucp_arr
     raw = {name: _metric_triple(actual_effort, predictions[name] * ucp_arr)
@@ -321,7 +340,9 @@ def ensemble_fit(X, y, ucp=None, alpha: float = DEFAULT_ALPHA,
     """Fit the three base models and weight them by their sigmoid-discounted
     inner-validation errors.  Training sets too small for inner validation
     fall back to equal weights.  `memo` and `query` pass through to
-    `inner_error_profile`; the final fits go through `fit_shared`."""
+    `inner_error_profile`, whose inner CART folds grow only the paths they
+    predict along; the three final models are full fits, shared through
+    `fit_shared`."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     params = params or BaseModelParams()

@@ -70,24 +70,6 @@ class Partitioning:
                 raise ValueError(f"ids in multiple partitions: {sorted(overlap)}")
             seen.update(members)
 
-    def member_ids(self) -> set[str]:
-        out: set[str] = set()
-        for members in self.partitions.values():
-            out.update(members)
-        return out
-
-    def label_of(self, project_id: str) -> str:
-        for label, members in self.partitions.items():
-            if project_id in members:
-                return label
-        raise KeyError(project_id)
-
-    def to_csv_rows(self) -> list[tuple[str, str]]:
-        """Rows for the `id,partition_label` export."""
-        return [(pid, label)
-                for label, members in self.partitions.items()
-                for pid in members]
-
 
 def partition_by_factor(dataset: Dataset, factor_index: int) -> Partitioning:
     """Split by the merged influence level of one factor.  Empty merged
@@ -111,7 +93,6 @@ class KMeansResult:
     centroids: np.ndarray
     n_iter: int
     inertia_history: tuple[float, ...]
-    reseeds: int
 
 
 def _inertia(points: np.ndarray, assignments: np.ndarray,
@@ -143,7 +124,6 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
 
     assignments = np.full(points.shape[0], -1)
     history: list[float] = []
-    reseeds = 0
     n_iter = 0
     for n_iter in range(1, KMEANS_MAX_ITER + 1):
         dists = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
@@ -161,7 +141,6 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
                 new_assignments[farthest] = cluster
                 centroids[cluster] = points[farthest]
                 dists[:, cluster] = np.linalg.norm(points - centroids[cluster], axis=1)
-                reseeds += 1
         else:
             raise RuntimeError("could not repopulate empty clusters")
 
@@ -173,8 +152,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         if converged:
             break
     return KMeansResult(assignments=assignments, centroids=centroids,
-                        n_iter=n_iter, inertia_history=tuple(history),
-                        reseeds=reseeds)
+                        n_iter=n_iter, inertia_history=tuple(history))
 
 
 def dunn_index(points: np.ndarray, assignments: np.ndarray,

@@ -99,41 +99,48 @@ class CartModel:
         )
 
 
-def _best_split(X: np.ndarray, y: np.ndarray,
-                min_leaf: int) -> tuple[int, float, float] | None:
-    """Lowest total child SSE over all (feature, midpoint-threshold)
-    candidates leaving both children >= min_leaf, or None.  Ties go to the
-    lowest feature, then to the first split position within it."""
-    n = y.size
+def _best_split(X: np.ndarray, y: np.ndarray, mean: np.ndarray,
+                min_leaf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split search for a stack of nodes of equal size n: X is
+    (nodes, n, f), y is (nodes, n) and mean holds each node's target mean.
+
+    Per node, the lowest total child SSE over all (feature,
+    midpoint-threshold) candidates leaving both children >= min_leaf.  Ties
+    go to the lowest feature, then to the first split position within it.
+    Returns each node's feature, threshold and SSE; the feature is -1 where
+    no candidate is valid."""
+    nodes, n, n_features = X.shape
     # centering keeps the prefix-sum SSE numerically tight
-    yc = y - y.mean()
-    # all features at once: column f holds feature f's sorted order
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = X[order, np.arange(X.shape[1])]
-    ys = yc[order]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    total_sum = csum[-1]
-    total_sq = csq[-1]
+    yc = y - mean[:, None]
+    # all features at once: [p, :, f] holds node p's feature f in sorted order
+    order = np.argsort(X, axis=1, kind="stable")
+    r = np.arange(nodes)
+    xs = X[r[:, None, None], order, np.arange(n_features)]
+    ys = yc[r[:, None, None], order]
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    total_sum = csum[:, -1:]
+    total_sq = csq[:, -1:]
 
     # split after position i puts i+1 points left
     counts_left = np.arange(1, n)
-    valid = (xs[:-1] < xs[1:])
+    valid = xs[:, :-1] < xs[:, 1:]
     valid &= ((counts_left >= min_leaf) & (n - counts_left >= min_leaf))[:, None]
-    if not valid.any():
-        return None
     nl = counts_left.astype(float)[:, None]
     nr = n - nl
-    sum_l = csum[:-1]
-    sq_l = csq[:-1]
+    sum_l = csum[:, :-1]
+    sq_l = csq[:, :-1]
     sse = (sq_l - sum_l * sum_l / nl) \
         + ((total_sq - sq_l) - (total_sum - sum_l) ** 2 / nr)
     sse[~valid] = np.inf
     # feature-major flat index: the first minimum is the lowest feature's
     # first position
-    feature, i = divmod(int(np.argmin(sse.T)), n - 1)
-    threshold = (xs[i, feature] + xs[i + 1, feature]) / 2.0
-    return feature, float(threshold), float(sse[i, feature])
+    flat = sse.transpose(0, 2, 1).reshape(nodes, -1)
+    best = np.argmin(flat, axis=1)
+    feature, i = np.divmod(best, n - 1)
+    threshold = (xs[r, i, feature] + xs[r, i + 1, feature]) / 2.0
+    feature[~valid.any(axis=(1, 2))] = -1
+    return feature, threshold, flat[r, best]
 
 
 def _grow(X: np.ndarray, y: np.ndarray, depth: int, min_split: int,
@@ -142,10 +149,11 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, min_split: int,
     count = y.size
     if count < min_split or depth >= max_depth or np.all(y == y[0]):
         return CartNode(prediction=prediction, count=count)
-    found = _best_split(X, y, min_leaf)
-    if found is None:
+    feature, threshold, _ = _best_split(X[None], y[None],
+                                        np.array([prediction]), min_leaf)
+    if feature[0] < 0:
         return CartNode(prediction=prediction, count=count)
-    feature, threshold, _ = found
+    feature, threshold = int(feature[0]), float(threshold[0])
     mask = X[:, feature] <= threshold
     return CartNode(
         prediction=prediction,
@@ -157,21 +165,94 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, min_split: int,
     )
 
 
-def cart_fit(X, y, min_split: int = DEFAULT_MIN_SPLIT,
-             min_leaf: int = DEFAULT_MIN_LEAF,
-             max_depth: int = DEFAULT_MAX_DEPTH) -> CartModel:
-    """Grow a regression tree; leaves predict their members' mean target."""
+def _checked(X, y, min_split: int, min_leaf: int,
+             max_depth: int) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("X must be (n, f) with one target per row")
-    if y.size == 0:
-        raise ValueError("cannot fit a tree on an empty training set")
     if min_leaf < 1 or min_split < 2 or max_depth < 0:
         raise ValueError("invalid tree limits")
+    return X, y
+
+
+def cart_fit(X, y, min_split: int = DEFAULT_MIN_SPLIT,
+             min_leaf: int = DEFAULT_MIN_LEAF,
+             max_depth: int = DEFAULT_MAX_DEPTH) -> CartModel:
+    """Grow a regression tree; leaves predict their members' mean target."""
+    X, y = _checked(X, y, min_split, min_leaf, max_depth)
+    if y.size == 0:
+        raise ValueError("cannot fit a tree on an empty training set")
     root = _grow(X, y, 0, min_split, min_leaf, max_depth)
     return CartModel(root=root, n_train=y.size, min_split=min_split,
                      min_leaf=min_leaf, max_depth=max_depth)
+
+
+def cart_fit_loo(X, y, folds, query=None, min_split: int = DEFAULT_MIN_SPLIT,
+                 min_leaf: int = DEFAULT_MIN_LEAF,
+                 max_depth: int = DEFAULT_MAX_DEPTH):
+    """For each row index i in `folds`, the predictions that `cart_fit` on X
+    and y without row i, with the same limits, makes at X[i] and at
+    `query`.  Returns (held_out, at_query), one value per fold each;
+    at_query is None without a query.
+
+    The folds' trees grow together, level by level, and only along the
+    nodes those points reach.  At each level the nodes that need a split
+    search are stacked by row count, one `_best_split` call per count.  A
+    node's rows keep their order in X, so every mean, split and prediction
+    equals `cart_fit`'s bit for bit.
+    """
+    X, y = _checked(X, y, min_split, min_leaf, max_depth)
+    n = y.size
+    folds = np.array([int(i) for i in folds], dtype=int)
+    if folds.size and n < 2:
+        raise ValueError("cannot fit a tree on an empty training set")
+    if np.any((folds < 0) | (folds >= n)):
+        raise ValueError(f"fold indices must be within 0..{n - 1}")
+
+    # one row-membership mask per node of the current level, and the node
+    # each unresolved point has reached; fold f's points start at its root
+    mask = np.ones((folds.size, n), dtype=bool)
+    mask[np.arange(folds.size), folds] = False
+    points, at = X[folds], np.arange(folds.size)
+    if query is not None:
+        query = np.asarray(query, dtype=float)
+        points = np.concatenate([points, np.tile(query, (folds.size, 1))])
+        at = np.concatenate([at, at])
+    out = np.empty(at.size)
+    pending = np.arange(at.size)
+    for depth in range(max_depth + 1):
+        counts = mask.sum(axis=1)
+        prediction = np.empty(counts.size)
+        feature = np.full(counts.size, -1)
+        threshold = np.empty(counts.size)
+        for m in np.unique(counts):
+            group = np.nonzero(counts == m)[0]
+            rows = np.nonzero(mask[group])[1].reshape(group.size, m)
+            y_g = y[rows]
+            mean = y_g.mean(axis=1)
+            prediction[group] = mean
+            if m < min_split or depth >= max_depth:
+                continue
+            split = ~np.all(y_g == y_g[:, :1], axis=1)
+            if split.any():
+                found = _best_split(X[rows[split]], y_g[split], mean[split],
+                                    min_leaf)
+                feature[group[split]], threshold[group[split]], _ = found
+
+        leaf = feature[at] < 0
+        out[pending[leaf]] = prediction[at[leaf]]
+        pending, at = pending[~leaf], at[~leaf]
+        if not pending.size:
+            break
+        # values equal to a threshold go left, as in `cart_predict`
+        right = ~(points[pending, feature[at]] <= threshold[at])
+        child, at = np.unique(2 * at + right, return_inverse=True)
+        parent, side = np.divmod(child, 2)
+        left_rows = X[:, feature[parent]].T <= threshold[parent][:, None]
+        mask = mask[parent] & (left_rows != side.astype(bool)[:, None])
+
+    return out[:folds.size], (None if query is None else out[folds.size:])
 
 
 def cart_predict(model: CartModel, x) -> float:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from ucp_locality.dataset import generate_synthetic
+from ucp_locality.preprocess import minmax_apply, minmax_fit
 from ucp_locality.regressors import cart_fit, cart_predict
 from ucp_locality.regressors.base import model_from_dict
-from ucp_locality.regressors.cart import _best_split
+from ucp_locality.regressors.cart import _best_split, cart_fit_loo
 
 
 def brute_force_best_sse(X, y, min_leaf):
@@ -124,15 +126,23 @@ class TestCartFit:
     def test_split_search_equals_per_feature_loop(self, rng):
         for trial in range(200):
             n = int(rng.integers(2, 40))
+            nodes = int(rng.integers(1, 5))
             if trial % 2:
                 # coarse integer grids force tied values and tied SSEs
-                X = rng.integers(0, 3, (n, 4)).astype(float)
-                y = rng.integers(0, 4, n).astype(float)
+                X = rng.integers(0, 3, (nodes, n, 4)).astype(float)
+                y = rng.integers(0, 4, (nodes, n)).astype(float)
             else:
-                X = rng.uniform(0, 1, (n, 4))
-                y = rng.uniform(0, 50, n)
+                X = rng.uniform(0, 1, (nodes, n, 4))
+                y = rng.uniform(0, 50, (nodes, n))
             min_leaf = int(rng.integers(1, 5))
-            assert _best_split(X, y, min_leaf) == loop_best_split(X, y, min_leaf)
+            mean = y.mean(axis=1)
+            feature, threshold, sse = _best_split(X, y, mean, min_leaf)
+            for p in range(nodes):
+                # a stacked mean is each node's own mean, bit for bit
+                assert mean[p] == y[p].mean()
+                got = None if feature[p] < 0 else (
+                    int(feature[p]), float(threshold[p]), float(sse[p]))
+                assert got == loop_best_split(X[p], y[p], min_leaf)
 
     def test_leaf_means_and_mass_conservation(self, rng):
         X = rng.uniform(0, 1, (60, 4))
@@ -163,6 +173,111 @@ class TestCartFit:
         X = rng.uniform(0, 1, (40, 4))
         y = rng.uniform(0, 1, 40)
         assert cart_fit(X, y).to_dict() == cart_fit(X, y).to_dict()
+
+
+def assert_loo_equals_per_fold(X, y, folds, query, **limits):
+    """`cart_fit_loo` gives, bit for bit, each fold's `cart_fit` prediction
+    at its held-out row and at the query, with or without a query."""
+    held_out, at_query = cart_fit_loo(X, y, folds, query, **limits)
+    want_held, want_query = [], []
+    for i in folds:
+        keep = np.arange(len(y)) != i
+        model = cart_fit(X[keep], y[keep], **limits)
+        want_held.append(model.predict(X[i]))
+        want_query.append(model.predict(query))
+    assert held_out.tobytes() == np.array(want_held, dtype=float).tobytes()
+    assert at_query.tobytes() == np.array(want_query, dtype=float).tobytes()
+    alone, no_query = cart_fit_loo(X, y, folds, **limits)
+    assert no_query is None
+    assert alone.tobytes() == held_out.tobytes()
+
+
+class TestCartFitLoo:
+    def test_scaled_synthetic_sets(self):
+        for seed, n in ((1, 20), (2, 47), (3, 80)):
+            data = generate_synthetic(seed, n)
+            features = np.array([p.size_features() for p in data])
+            scaler = minmax_fit(features[1:])
+            X = minmax_apply(scaler, features[1:])
+            y = np.array([p.pdr for p in data])[1:]
+            query = minmax_apply(scaler, features[0])
+            assert_loo_equals_per_fold(X, y, range(n - 1), query)
+
+    def test_integer_sets_with_many_ties(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(7, 60))
+            X = rng.integers(0, 3, (n, 4)).astype(float)
+            y = rng.integers(0, 4, n).astype(float)
+            query = rng.integers(0, 3, 4).astype(float)
+            assert_loo_equals_per_fold(X, y, range(n), query, min_split=4,
+                                       min_leaf=2)
+
+    def test_constant_target(self, rng):
+        X = rng.uniform(0, 1, (30, 4))
+        y = np.full(30, 7.5)
+        assert_loo_equals_per_fold(X, y, range(30), rng.uniform(0, 1, 4))
+
+    def test_smallest_set(self, rng):
+        X = rng.uniform(0, 1, (7, 4))
+        y = rng.uniform(0, 50, 7)
+        query = rng.uniform(0, 1, 4)
+        assert_loo_equals_per_fold(X, y, range(7), query)
+        assert_loo_equals_per_fold(X, y, range(7), query, min_split=2,
+                                   min_leaf=1)
+
+    def test_repeated_and_unordered_folds(self, rng):
+        X = rng.uniform(0, 1, (25, 4))
+        y = rng.uniform(0, 50, 25)
+        query = rng.uniform(0, 1, 4)
+        assert_loo_equals_per_fold(X, y, [5, 2, 5, 0, 24, 2], query)
+        assert_loo_equals_per_fold(X, y, [], query)
+
+    @pytest.mark.parametrize("limits", [
+        {"min_split": 2, "min_leaf": 1, "max_depth": 10},
+        {"min_split": 5, "min_leaf": 3, "max_depth": 2},
+        {"min_split": 12, "min_leaf": 6, "max_depth": 4},
+        {"max_depth": 1},
+        {"max_depth": 0},
+    ])
+    def test_tree_limits(self, rng, limits):
+        X = rng.uniform(0, 1, (40, 4)) * [1.0, 10.0, 100.0, 1000.0]
+        y = rng.uniform(0, 50, 40)
+        assert_loo_equals_per_fold(X, y, range(40), rng.uniform(0, 500, 4),
+                                   **limits)
+
+    def test_query_on_threshold_goes_left(self):
+        # fold 4 trains on the four points of the tie test: threshold 0.5
+        X = np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0], [0.2, 0, 0, 0],
+                      [0.8, 0, 0, 0], [0.6, 0, 0, 0]])
+        y = np.array([1.0, 9.0, 1.0, 9.0, 5.0])
+        limits = {"min_split": 2, "min_leaf": 2, "max_depth": 2}
+        probe = np.array([0.5, 0, 0, 0])
+        assert cart_fit(X[:4], y[:4], **limits).root.threshold == 0.5
+        held_out, at_query = cart_fit_loo(X, y, [4], probe, **limits)
+        assert at_query[0] == 1.0
+        assert held_out[0] == 9.0
+        assert_loo_equals_per_fold(X, y, range(5), probe, **limits)
+
+    def test_midpoint_on_a_training_value(self, rng):
+        # one ulp apart, the midpoint threshold rounds onto the lower value,
+        # whose training rows still go left
+        low = np.nextafter(0.3, 0.0)
+        X = rng.uniform(0, 1, (16, 4))
+        X[:, 0] = [low, 0.3] * 8
+        y = np.where(X[:, 0] == low, 1.0, 9.0) + rng.uniform(0, 0.1, 16)
+        assert cart_fit(X, y).root.threshold == low
+        assert_loo_equals_per_fold(X, y, range(16), rng.uniform(0, 1, 4))
+
+    def test_invalid_folds_refused(self, rng):
+        X = rng.uniform(0, 1, (10, 4))
+        y = rng.uniform(0, 50, 10)
+        for folds in ([-1], [10], [3, 11]):
+            with pytest.raises(ValueError, match="fold indices"):
+                cart_fit_loo(X, y, folds)
+        with pytest.raises(ValueError, match="empty"):
+            cart_fit_loo(X[:1], y[:1], [0])
+        with pytest.raises(ValueError, match="limits"):
+            cart_fit_loo(X, y, [0], max_depth=-1)
 
 
 class TestCartPredict:

@@ -112,10 +112,9 @@ class TestDataset:
         with pytest.raises(KeyError):
             d.column("nope")
 
-    def test_subset_and_without(self):
+    def test_subset(self):
         d = make_dataset([make_project(c) for c in "abc"])
         assert d.subset(["c", "a"]).ids() == ("a", "c")
-        assert d.without("b").ids() == ("a", "c")
 
 
 class TestLoadSave:

@@ -266,6 +266,9 @@ class TestInnerFitMemo:
         # the memo is exercised: fewer than n outer x (n - 1) inner fits
         # plus n final fits, per base model
         assert len(calls) < 3 * (n * (n - 1) + n)
+        # inner CART folds are grown together by `cart_loo`, so the only
+        # per-fit CART calls are the n final fits
+        assert calls.count("cart") == n
 
         by_id = {p.id: p for p in data}
         for fold in report.folds:

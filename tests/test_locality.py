@@ -73,14 +73,8 @@ class TestPartitionByFactor:
             part = partition_by_factor(small_synthetic, i)
             sizes = sum(len(m) for m in part.partitions.values())
             assert sizes == len(small_synthetic)
-            assert part.member_ids() == set(small_synthetic.ids())
-
-    def test_csv_export_schema(self, small_synthetic):
-        part = partition_by_factor(small_synthetic, 3)
-        rows = part.to_csv_rows()
-        assert len(rows) == len(small_synthetic)
-        assert all(label in part.partitions for _, label in rows)
-        assert {pid for pid, _ in rows} == set(small_synthetic.ids())
+            members = {pid for m in part.partitions.values() for pid in m}
+            assert members == set(small_synthetic.ids())
 
     def test_partitioning_rejects_overlap(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -256,7 +250,7 @@ class TestAssign:
         high = make_project("high", env=(5,) * 8)
         assert assign(low, part) != assign(high, part)
         got = assign(low, part)
-        assert got == part.label_of("p0")
+        assert "p0" in part.partitions[got]
 
     def test_equidistant_goes_to_lowest_index(self):
         from ucp_locality.preprocess import minmax_fit
