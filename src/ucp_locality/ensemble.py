@@ -13,8 +13,10 @@ import numpy as np
 
 from .dataset import N_FACTORS, validate_factor_score
 from .regressors.cart import cart_fit, cart_fit_loo
+from .regressors.stepwise import DEFAULT_ALPHA_REMOVE as STEPWISE_ALPHA
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
 from .regressors.stepwise import stepwise_fit
+from .regressors.svr import DEFAULT_TOL as SVR_TOL
 from .regressors.svr import svr_fit, svr_fit_loo
 
 DEFAULT_ALPHA = 15.0
@@ -83,56 +85,83 @@ def sw_productivity(env) -> float:
 
 @dataclass(frozen=True)
 class BaseModelParams:
-    """Hyperparameters for the three base learners."""
+    """Hyperparameters for the three base learners.  The SVR's stopping
+    tolerance and stepwise's removal level are the learners' fixed
+    defaults."""
 
     svr_c: float = 1.0
     svr_epsilon: float = 0.1
     svr_gamma: float | None = None        # None = auto
-    svr_tol: float = 0.001
     cart_min_split: int = 8
     cart_min_leaf: int = 4
     cart_max_depth: int = 6
-    stepwise_alpha: float = 0.05
 
     def fit_one(self, kind: str, X: np.ndarray, y: np.ndarray):
         if kind == "svr":
             return svr_fit(X, y, c=self.svr_c, epsilon=self.svr_epsilon,
-                           gamma=self.svr_gamma, tol=self.svr_tol)
+                           gamma=self.svr_gamma)
         if kind == "stepwise":
-            return stepwise_fit(X, y, alpha_remove=self.stepwise_alpha)
+            return stepwise_fit(X, y)
         if kind == "cart":
             return cart_fit(X, y, min_split=self.cart_min_split,
                             min_leaf=self.cart_min_leaf,
                             max_depth=self.cart_max_depth)
         raise ValueError(f"unknown base model {kind!r}")
 
-    def svr_loo(self, X: np.ndarray, y: np.ndarray, folds) -> list:
-        """`fit_one("svr", ...)` on X and y without row i, for each i in
-        `folds`, solved together."""
-        return svr_fit_loo(X, y, folds, c=self.svr_c, epsilon=self.svr_epsilon,
-                           gamma=self.svr_gamma, tol=self.svr_tol)
+    def fit_loo(self, kind: str, X: np.ndarray, y: np.ndarray, folds,
+                query=None):
+        """For each row index i in `folds`, what `fit_one(kind, ...)` on X
+        and y without row i predicts at X[i] and at `query`.  Returns
+        (held_out, at_query), one value per fold each; at_query is None
+        without a query.
 
-    def cart_loo(self, X: np.ndarray, y: np.ndarray, folds, query=None):
-        """What `fit_one("cart", ...)` on X and y without row i predicts at
-        X[i] and at `query`, for each i in `folds`, grown together."""
-        return cart_fit_loo(X, y, folds, query,
-                            min_split=self.cart_min_split,
-                            min_leaf=self.cart_min_leaf,
-                            max_depth=self.cart_max_depth)
+        SVR folds are solved together by `svr_fit_loo` and CART folds grown
+        together by `cart_fit_loo`.  Stepwise folds are fit one at a time,
+        and a fold's model that cannot evaluate a point (a log-scaled
+        feature at a non-positive value) predicts that fold's training mean
+        there.
+        """
+        if kind == "cart":
+            return cart_fit_loo(X, y, folds, query,
+                                min_split=self.cart_min_split,
+                                min_leaf=self.cart_min_leaf,
+                                max_depth=self.cart_max_depth)
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        folds = [int(i) for i in folds]
+        held_out = np.empty(len(folds))
+        at_query = None if query is None else np.empty(len(folds))
+        if kind == "svr":
+            models = svr_fit_loo(X, y, folds, c=self.svr_c,
+                                 epsilon=self.svr_epsilon, gamma=self.svr_gamma)
+            for k, (i, model) in enumerate(zip(folds, models)):
+                held_out[k] = model.predict(X[i])
+                if query is not None:
+                    at_query[k] = model.predict(query)
+            return held_out, at_query
+        if kind != "stepwise":
+            raise ValueError(f"unknown base model {kind!r}")
+        keep = np.ones(y.size, dtype=bool)
+        for k, i in enumerate(folds):
+            keep[i] = False
+            y_train = y[keep]
+            model = self.fit_one(kind, X[keep], y_train)
+            mean = float(y_train.mean())
+            held_out[k] = predict_or_fallback(model, X[i], mean)
+            if query is not None:
+                at_query[k] = predict_or_fallback(model, query, mean)
+            keep[i] = True
+        return held_out, at_query
 
     def to_dict(self) -> dict:
         return {
             "svr_c": self.svr_c, "svr_epsilon": self.svr_epsilon,
-            "svr_gamma": self.svr_gamma, "svr_tol": self.svr_tol,
+            "svr_gamma": self.svr_gamma, "svr_tol": SVR_TOL,
             "cart_min_split": self.cart_min_split,
             "cart_min_leaf": self.cart_min_leaf,
             "cart_max_depth": self.cart_max_depth,
-            "stepwise_alpha": self.stepwise_alpha,
+            "stepwise_alpha": STEPWISE_ALPHA,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BaseModelParams":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -154,8 +183,15 @@ class WeightBreakdown:
 
 def predict_or_fallback(model, x, fallback: float) -> float:
     """Prediction, or the given fallback when the model cannot evaluate the
-    point (a log-scaled stepwise feature at a non-positive value; possible
-    for held-out or extrapolated rows after min-max scaling)."""
+    point (a log-scaled stepwise feature at a non-positive value).
+
+    Only inner leave-one-out stepwise folds (`BaseModelParams.fit_loo`) can
+    need it: with the local set's minimum left out, a column can be all
+    positive and get log-scaled, and the held-out row or the outer query
+    can then sit at or below 0.  An outer fit is on a local set min-max
+    scaled on itself, where every column's minimum is 0, so its stepwise
+    model has no log-scaled feature.
+    """
     try:
         return float(model.predict(x))
     except ValueError:
@@ -219,11 +255,11 @@ def inner_error_profile(X, y, ucp=None,
     takes that prediction instead of refitting; the entry is then dropped.
     Fits are deterministic, so results equal those without a memo.
 
-    The SVR folds left to fit are solved together by `svr_fit_loo`, which
-    returns the same models as fitting each fold on its own.  The CART folds
-    left to fit are grown together by `cart_fit_loo`, only along the paths
-    of their held-out row and `query`, with the same predictions as each
-    fold's full tree.  Stepwise folds are fit one at a time.
+    One pass takes what the memo holds; the folds left are then solved by
+    one `params.fit_loo` call per base model, which predicts at `query` only
+    when there is a memo to store it in.  A stepwise fold that cannot
+    evaluate its held-out row predicts its training mean there; no other
+    learner or fit needs that fallback.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -238,50 +274,34 @@ def inner_error_profile(X, y, ucp=None,
     params = params or BaseModelParams()
 
     predictions = {name: np.empty(n) for name in BASE_MODELS}
-    fallbacks = np.empty(n)
-    query_keys = [None] * n
-    # folds of the learners whose inner fits are solved together below
-    loo_folds = {"svr": [], "cart": []}
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        keep[i] = False
-        X_train, y_train = X[keep], y[keep]
-        fallbacks[i] = fallback = float(y_train.mean())
-        if memo is not None:
+    if memo is None:
+        to_fit = {name: range(n) for name in BASE_MODELS}
+    else:
+        to_fit = {name: [] for name in BASE_MODELS}
+        query_keys = [None] * n
+        keep = np.ones(n, dtype=bool)
+        for i in range(n):
+            keep[i] = False
             train_digest = hashlib.blake2b(
-                X_train.tobytes() + y_train.tobytes(), digest_size=16)
+                X[keep].tobytes() + y[keep].tobytes(), digest_size=16)
             held_out_key = _memo_key(train_digest, X[i])
             query_keys[i] = _memo_key(train_digest, query)
-        for name in BASE_MODELS:
-            pred = None
-            if memo is not None:
+            for name in BASE_MODELS:
                 pred = memo.pop((name, held_out_key), None)
-            if pred is None and name in loo_folds:
-                loo_folds[name].append(i)
-                continue
-            if pred is None:
-                model = params.fit_one(name, X_train, y_train)
-                pred = predict_or_fallback(model, X[i], fallback)
-                if memo is not None:
-                    memo[(name, query_keys[i])] = predict_or_fallback(
-                        model, query, fallback)
-            predictions[name][i] = max(pred, PDR_FLOOR)
-        keep[i] = True
+                if pred is None:
+                    to_fit[name].append(i)
+                else:
+                    predictions[name][i] = max(pred, PDR_FLOOR)
+            keep[i] = True
 
-    svr_folds = loo_folds["svr"]
-    for i, model in zip(svr_folds, params.svr_loo(X, y, svr_folds)):
-        pred = predict_or_fallback(model, X[i], fallbacks[i])
-        if memo is not None:
-            memo[("svr", query_keys[i])] = predict_or_fallback(
-                model, query, fallbacks[i])
-        predictions["svr"][i] = max(pred, PDR_FLOOR)
-
-    cart_folds = loo_folds["cart"]
-    held_out, at_query = params.cart_loo(X, y, cart_folds, query)
-    for k, i in enumerate(cart_folds):
-        predictions["cart"][i] = max(float(held_out[k]), PDR_FLOOR)
-        if memo is not None:
-            memo[("cart", query_keys[i])] = float(at_query[k])
+    for name in BASE_MODELS:
+        folds = to_fit[name]
+        held_out, at_query = params.fit_loo(
+            name, X, y, folds, None if memo is None else query)
+        for k, i in enumerate(folds):
+            predictions[name][i] = max(float(held_out[k]), PDR_FLOOR)
+            if memo is not None:
+                memo[(name, query_keys[i])] = float(at_query[k])
 
     actual_effort = y * ucp_arr
     raw = {name: _metric_triple(actual_effort, predictions[name] * ucp_arr)
@@ -295,7 +315,6 @@ class EnsembleModel:
     weights: dict[str, WeightBreakdown]
     alpha: float
     n_train: int
-    train_mean: float                              # fallback prediction level
     profile: ErrorProfile | None = field(default=None, repr=False)
 
     def predict(self, x) -> float:
@@ -304,7 +323,7 @@ class EnsembleModel:
         return ensemble_predict(preds, w)
 
     def base_predictions(self, x) -> dict[str, float]:
-        return {name: predict_or_fallback(self.models[name], x, self.train_mean)
+        return {name: float(self.models[name].predict(x))
                 for name in BASE_MODELS}
 
     def to_dict(self) -> dict:
@@ -315,7 +334,6 @@ class EnsembleModel:
                 "weights": {name: [w.w_mae, w.w_mbre, w.w_mibre, w.combined]
                             for name, w in self.weights.items()},
                 "alpha": self.alpha,
-                "train_mean": self.train_mean,
             },
             "metadata": {"n_train": self.n_train},
         }
@@ -330,7 +348,6 @@ class EnsembleModel:
         weights = {name: WeightBreakdown(*vals)
                    for name, vals in params["weights"].items()}
         return cls(models=models, weights=weights, alpha=params["alpha"],
-                   train_mean=params["train_mean"],
                    n_train=data["metadata"]["n_train"])
 
 
@@ -372,6 +389,5 @@ def ensemble_fit(X, y, ucp=None, alpha: float = DEFAULT_ALPHA,
     models = {name: fit_shared(params, name, X, y, memo)
               for name in BASE_MODELS}
     return EnsembleModel(models=models, weights=weights, alpha=alpha,
-                         n_train=y.size, train_mean=float(y.mean()),
-                         profile=profile)
+                         n_train=y.size, profile=profile)
 

@@ -18,10 +18,11 @@ from .ensemble import (
     WeightBreakdown,
     ensemble_fit,
     fit_shared,
-    predict_or_fallback,
     sw_productivity,
 )
 from .locality import (
+    KMEANS_K_MAX,
+    KMEANS_K_MIN,
     Partitioning,
     assign,
     derive_seed,
@@ -111,8 +112,6 @@ class RunSettings:
     seed: int = 42
     min_local: int = DEFAULT_MIN_LOCAL
     ensemble_alpha: float = 15.0
-    k_min: int = 2
-    k_max: int = 10
     base_params: BaseModelParams = field(default_factory=BaseModelParams)
     # record full partition membership in each fold trace (for structural
     # leak checks; off by default to keep reports small)
@@ -124,8 +123,8 @@ class RunSettings:
             "min_local": self.min_local,
             "pdr_floor": PDR_FLOOR,
             "ensemble_alpha": self.ensemble_alpha,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
+            "k_min": KMEANS_K_MIN,
+            "k_max": KMEANS_K_MAX,
             "base_params": self.base_params.to_dict(),
             "keep_partitions": self.keep_partitions,
         }
@@ -171,9 +170,9 @@ def build_partitioning(training: Dataset, scheme: str, fold_seed: int,
     if scheme in FACTOR_SCHEMES:
         return partition_by_factor(training, int(scheme[1:]))
     if scheme == SCHEME_KMEANS:
-        return partition_by_kmeans(training, k_min=settings.k_min,
-                                   k_max=settings.k_max, seed=fold_seed,
-                                   k_cap=len(training) // 2)
+        return partition_by_kmeans(
+            training, k_max=min(KMEANS_K_MAX, len(training) // 2),
+            seed=fold_seed)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -189,11 +188,8 @@ class LocalModel:
     falls in (or the full training set, with the reason), the min-max
     scaler fit on that set and the fitted learner.  The baselines have
     neither scaler nor model.  The harness's folds and `predict` both
-    predict through it.
-
-    An artifact records the local set's size but not its ids, nor a single
-    learner's local mean PDR, so a loaded single learner that cannot
-    evaluate a project raises instead of returning the mean.
+    predict through it.  An artifact records the local set's size but not
+    its ids.
     """
 
     kind: str
@@ -204,10 +200,6 @@ class LocalModel:
     seed: int
     scaler: ScalerParams | None
     model: object | None
-    # a single learner's local mean PDR, predicted when it cannot evaluate
-    # a project; None for the ensemble, whose learners fall back on their
-    # own, and for a learner loaded from an artifact
-    fallback_mean: float | None
 
     def _scaled(self, project: Project) -> np.ndarray:
         return minmax_apply(self.scaler, np.array(project.size_features()))
@@ -218,11 +210,8 @@ class LocalModel:
             pdr = KARNER_PDR
         elif self.kind == "sw":
             pdr = sw_productivity(project.env)
-        elif self.fallback_mean is None:
-            pdr = float(self.model.predict(self._scaled(project)))
         else:
-            pdr = predict_or_fallback(self.model, self._scaled(project),
-                                      self.fallback_mean)
+            pdr = float(self.model.predict(self._scaled(project)))
         return max(pdr, PDR_FLOOR)
 
     def base_pdrs(self, project: Project) -> dict[str, float] | None:
@@ -261,8 +250,7 @@ class LocalModel:
             return cls(kind=kind, partition_label=data["partition_label"],
                        fallback=data.get("fallback"),
                        local_size=data["local_size"], local_ids=None,
-                       seed=data["seed"], scaler=scaler, model=model,
-                       fallback_mean=None)
+                       seed=data["seed"], scaler=scaler, model=model)
         except KeyError as exc:
             raise ValueError(f"model file lacks the key {exc}") from None
         except (TypeError, AttributeError) as exc:
@@ -301,8 +289,7 @@ def fit_local(training, test: Project, model: str, settings: RunSettings,
                   local_size=len(local), local_ids=tuple(p.id for p in local),
                   seed=settings.seed)
     if model in BASELINE_MODELS:
-        return LocalModel(**fields, scaler=None, model=None,
-                          fallback_mean=None)
+        return LocalModel(**fields, scaler=None, model=None)
 
     features = np.array([p.size_features() for p in local])
     targets = np.array([p.pdr for p in local])
@@ -314,11 +301,9 @@ def fit_local(training, test: Project, model: str, settings: RunSettings,
             alpha=settings.ensemble_alpha, params=settings.base_params,
             memo=memo,
             query=minmax_apply(scaler, np.array(test.size_features())))
-        return LocalModel(**fields, scaler=scaler, model=fitted,
-                          fallback_mean=None)
+        return LocalModel(**fields, scaler=scaler, model=fitted)
     fitted = fit_shared(settings.base_params, model, X, targets, memo)
-    return LocalModel(**fields, scaler=scaler, model=fitted,
-                      fallback_mean=float(targets.mean()))
+    return LocalModel(**fields, scaler=scaler, model=fitted)
 
 
 def loocv_run(dataset: Dataset, scheme: str, model: str,
@@ -334,9 +319,9 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
     partitioning, keyed on the scheme, fold seed and training projects;
     each base-learner fit on a local set (see `fit_shared`); and the
     ensemble's inner-fit predictions (see `inner_error_profile`).  Keys
-    hold their inputs exactly, so any runs whose settings agree on `k_min`,
-    `k_max` and `base_params` can share a memo and get the reports fresh
-    memos give.  Without one, the run uses its own.
+    hold their inputs exactly, so any runs whose settings agree on
+    `base_params` can share a memo and get the reports fresh memos give.
+    Without one, the run uses its own.
     """
     settings = settings or RunSettings()
     if scheme != SCHEME_NONE and scheme not in ALL_SCHEMES:

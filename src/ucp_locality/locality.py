@@ -13,6 +13,10 @@ from .dataset import FACTOR_MAX, FACTOR_MIN, Dataset, Project
 from .preprocess import ScalerParams, minmax_apply, minmax_fit
 
 KMEANS_MAX_ITER = 300
+# k-means runs per k (best final inertia kept) and the range of k tried
+KMEANS_RESTARTS = 8
+KMEANS_K_MIN = 2
+KMEANS_K_MAX = 10
 
 
 class MergedLevel(enum.IntEnum):
@@ -187,15 +191,11 @@ def dunn_index(points: np.ndarray, assignments: np.ndarray,
     return min_gap / max_diameter
 
 
-DEFAULT_KMEANS_RESTARTS = 8
-
-
-def best_kmeans(points: np.ndarray, k: int, seed: int,
-                restarts: int = DEFAULT_KMEANS_RESTARTS) -> KMeansResult:
+def best_kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     """Best-of-restarts Lloyd run (lowest final inertia); restart seeds are
     derived from (seed, restart index), so the result is deterministic."""
     best: KMeansResult | None = None
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         result = kmeans(points, k, derive_seed(seed, r))
         if best is None or result.inertia_history[-1] < best.inertia_history[-1]:
             best = result
@@ -203,8 +203,8 @@ def best_kmeans(points: np.ndarray, k: int, seed: int,
     return best
 
 
-def select_k(points: np.ndarray, k_min: int, k_max: int, seed: int,
-             restarts: int = DEFAULT_KMEANS_RESTARTS) -> tuple[int, KMeansResult]:
+def select_k(points: np.ndarray, k_min: int, k_max: int,
+             seed: int) -> tuple[int, KMeansResult]:
     """Run k-means for each k in [k_min, k_max] (fresh derived seed per k,
     several restarts against bad local optima) and keep the k with the
     largest Dunn index, ties toward smaller k."""
@@ -223,7 +223,7 @@ def select_k(points: np.ndarray, k_min: int, k_max: int, seed: int,
     best_result = None
     best_index = -float("inf")
     for k in range(k_min, k_max + 1):
-        result = best_kmeans(points, k, derive_seed(seed, k), restarts)
+        result = best_kmeans(points, k, derive_seed(seed, k))
         index = dunn_index(points, result.assignments, result.centroids)
         if index > best_index:
             best_k, best_result, best_index = k, result, index
@@ -231,19 +231,17 @@ def select_k(points: np.ndarray, k_min: int, k_max: int, seed: int,
     return best_k, best_result
 
 
-def partition_by_kmeans(dataset: Dataset, k_min: int = 2, k_max: int = 10,
-                        seed: int = 0,
-                        k_cap: int | None = None) -> Partitioning:
+def partition_by_kmeans(dataset: Dataset, k_min: int = KMEANS_K_MIN,
+                        k_max: int = KMEANS_K_MAX,
+                        seed: int = 0) -> Partitioning:
     """Cluster the dataset on its eight min-max-normalized factor scores and
-    label partitions c0..c(k-1).  `k_cap` optionally bounds k further (the
-    benchmark harness caps it at half the training size)."""
+    label partitions c0..c(k-1).  A `k_max` below `k_min` is raised to it
+    (the benchmark harness caps k at half the training size)."""
     if len(dataset) == 0:
         raise ValueError("cannot partition an empty dataset")
     env = dataset.env_matrix()
     scaler = minmax_fit(env)
     normalized = minmax_apply(scaler, env)
-    if k_cap is not None:
-        k_max = min(k_max, k_cap)
     k_max = max(k_max, k_min)
     k, result = select_k(normalized, k_min, k_max, seed)
 

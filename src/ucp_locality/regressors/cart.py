@@ -64,17 +64,6 @@ class CartModel:
     def predict(self, x) -> float:
         return cart_predict(self, x)
 
-    def leaves(self) -> list[CartNode]:
-        out: list[CartNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.extend((node.right, node.left))
-        return out
-
     def to_dict(self) -> dict:
         return {
             "kind": "cart",

@@ -64,12 +64,6 @@ class SvrModel:
     def predict(self, x) -> float:
         return svr_predict(self, x)
 
-    def dual_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical (alpha, alpha*) per support vector; complementary by
-        construction."""
-        beta = self.coefficients
-        return np.maximum(beta, 0.0), np.maximum(-beta, 0.0)
-
     def to_dict(self) -> dict:
         return {
             "kind": "svr",

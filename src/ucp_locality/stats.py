@@ -15,17 +15,13 @@ from .dataset import FACTOR_MAX, FACTOR_MIN, Dataset
 @dataclass(frozen=True)
 class Moments:
     """Sample mean, stdev and bias-adjusted shape statistics.  Skewness and
-    excess kurtosis are nan (shape_defined False) when the sample is
-    constant or too small for the estimator."""
+    excess kurtosis are nan when the sample is constant or too small for
+    the estimator."""
 
     mean: float
     stdev: float
     skewness: float
     kurtosis: float
-
-    @property
-    def shape_defined(self) -> bool:
-        return not (math.isnan(self.skewness) or math.isnan(self.kurtosis))
 
 
 def moments(values: np.ndarray) -> Moments:

@@ -148,7 +148,14 @@ class TestCartFit:
         X = rng.uniform(0, 1, (60, 4))
         y = rng.uniform(5, 40, 60)
         model = cart_fit(X, y)
-        total = sum(leaf.count * leaf.prediction for leaf in model.leaves())
+        leaves, stack = [], [model.root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                leaves.append(node)
+            else:
+                stack.extend((node.left, node.right))
+        total = sum(leaf.count * leaf.prediction for leaf in leaves)
         assert total == pytest.approx(y.sum(), rel=1e-12)
         for node, idx in node_members(model, X):
             for child, mask in ((node.left, X[idx, node.feature] <= node.threshold),

@@ -180,10 +180,100 @@ class TestInnerErrorProfile:
             assert profile.raw[name][2] == pytest.approx(
                 (abs_err / np.maximum(actual, estimate)).mean())
 
+    def test_one_fit_loo_call_per_learner(self, rng, monkeypatch):
+        calls = []
+        fit_loo = BaseModelParams.fit_loo
+
+        def counting_fit_loo(self, kind, X, y, folds, query):
+            calls.append((kind, query is not None))
+            return fit_loo(self, kind, X, y, folds, query)
+
+        monkeypatch.setattr(BaseModelParams, "fit_loo", counting_fit_loo)
+        X, y, ucp = fixture_training(rng, 9)
+        # without a memo nothing stores a query prediction, so none is made
+        inner_error_profile(X, y, ucp, query=X[0])
+        assert calls == [(name, False) for name in BASE_MODELS]
+        calls.clear()
+        memo = {}
+        for query in (X[0], X[1], X[0]):
+            inner_error_profile(X, y, ucp, memo=memo, query=query)
+        assert calls == [(name, True) for name in BASE_MODELS] * 3
+
+    def test_stepwise_fallback_fold_scores_the_training_mean(self):
+        X, y = stepwise_fallback_set()
+        profile = inner_error_profile(X, y)
+        assert profile == per_fold_profile(X, y, np.ones(12),
+                                           BaseModelParams())
+
     def test_too_small_signals_fallback(self, rng):
         X, y, ucp = fixture_training(rng, 6)
         with pytest.raises(ValueError):
             inner_error_profile(X, y, ucp)
+
+
+def per_fold_loo(params, kind, X, y, folds, query):
+    """Reference for `fit_loo`: each fold fit on its own through `fit_one`;
+    a stepwise fold that cannot evaluate a point predicts its training
+    mean there."""
+    held_out, at_query = [], []
+    for i in folds:
+        keep = np.arange(y.size) != i
+        model = params.fit_one(kind, X[keep], y[keep])
+        for x, out in ((X[i], held_out), (query, at_query)):
+            if x is None:
+                continue
+            try:
+                out.append(float(model.predict(x)))
+            except ValueError:
+                assert kind == "stepwise"
+                out.append(float(y[keep].mean()))
+    return held_out, at_query
+
+
+def stepwise_fallback_set():
+    """12 rows whose column 0 has its unique minimum, 0, in row 0.  Without
+    row 0 the column is positive and skewed, so that fold's stepwise model
+    log-scales it, keeps it, and cannot evaluate row 0."""
+    c0 = np.concatenate([[0.0], 2.0 ** -np.arange(10, -1, -1)])
+    c1 = np.array([0.3, 0.9, 0.1, 0.5, 0.7, 0.2, 1.0, 0.0, 0.6, 0.4, 0.8, 0.35])
+    y = 20 + np.log2(np.maximum(c0, 2.0 ** -11)) + 0.1 * np.sin(np.arange(12))
+    return np.column_stack([c0, c1]), y
+
+
+class TestFitLoo:
+    @pytest.mark.parametrize("kind", BASE_MODELS)
+    @pytest.mark.parametrize("with_query", [False, True])
+    def test_equals_per_fold_fits(self, kind, with_query, rng):
+        params = BaseModelParams()
+        for n, folds in ((8, [3, 0, 7, 3]), (13, range(13)), (9, [])):
+            X, y, _ = fixture_training(rng, n)
+            query = rng.uniform(-0.2, 1.2, 4) if with_query else None
+            held_out, at_query = params.fit_loo(kind, X, y, folds, query)
+            ref_held_out, ref_at_query = per_fold_loo(params, kind, X, y,
+                                                      folds, query)
+            assert list(held_out) == ref_held_out
+            if with_query:
+                assert list(at_query) == ref_at_query
+            else:
+                assert at_query is None
+
+    def test_stepwise_fold_falls_back_to_its_training_mean(self):
+        X, y = stepwise_fallback_set()
+        model = BaseModelParams().fit_one("stepwise", X[1:], y[1:])
+        with pytest.raises(ValueError):
+            model.predict(X[0])
+        query = np.array([-0.1, 0.5])
+        params = BaseModelParams()
+        folds = range(12)
+        held_out, at_query = params.fit_loo("stepwise", X, y, folds, query)
+        assert held_out[0] == at_query[0] == float(y[1:].mean())
+        assert (list(held_out), list(at_query)) == per_fold_loo(
+            params, "stepwise", X, y, folds, query)
+
+    def test_unknown_kind(self, rng):
+        X, y, _ = fixture_training(rng, 9)
+        with pytest.raises(ValueError, match="unknown base model"):
+            BaseModelParams().fit_loo("knn", X, y, [0])
 
 
 class TestEnsembleFit:
@@ -266,7 +356,7 @@ class TestInnerFitMemo:
         # the memo is exercised: fewer than n outer x (n - 1) inner fits
         # plus n final fits, per base model
         assert len(calls) < 3 * (n * (n - 1) + n)
-        # inner CART folds are grown together by `cart_loo`, so the only
+        # inner CART folds are grown together by `fit_loo`, so the only
         # per-fit CART calls are the n final fits
         assert calls.count("cart") == n
 

@@ -186,6 +186,19 @@ class TestFitLocal:
             assert loaded.pdr(test) == local.pdr(test)
             assert loaded.base_pdrs(test) == local.base_pdrs(test)
 
+    def test_artifact_with_train_mean_predicts_the_same(self, data20):
+        # ensemble artifacts used to carry the local mean PDR as
+        # "train_mean"; such a file still loads and predicts the same
+        test, *training = data20
+        local = fit_local(training, test, "ensemble", RunSettings())
+        doc = local.to_dict()
+        assert "train_mean" not in doc["model"]["params"]
+        doc["model"]["params"]["train_mean"] = 12.5
+        loaded = LocalModel.from_dict(doc)
+        for project in data20:
+            assert loaded.pdr(project) == local.pdr(project)
+            assert loaded.base_pdrs(project) == local.base_pdrs(project)
+
     def test_unknown_model(self, data20):
         with pytest.raises(ValueError, match="unknown model"):
             fit_local(data20, next(iter(data20)), "boost", RunSettings())

@@ -25,7 +25,6 @@ class TestMoments:
         m = moments([5.0, 5.0, 5.0])
         assert m.stdev == 0
         assert math.isnan(m.skewness) and math.isnan(m.kurtosis)
-        assert not m.shape_defined
 
     def test_needs_two_values(self):
         with pytest.raises(ValueError):

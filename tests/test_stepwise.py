@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ucp_locality.preprocess import normality_check
+from ucp_locality.preprocess import minmax_apply, minmax_fit, normality_check
 from ucp_locality.regressors import stepwise_fit, stepwise_predict
 from ucp_locality.regressors.base import model_from_dict
 
@@ -107,6 +107,28 @@ class TestStepwiseFit:
             for col in columns)
         assert model.log_flags == expected
         assert expected[0] and expected[3] and not any(expected[1:3] + expected[4:])
+
+    def test_no_log_flag_after_minmax_scaling_on_itself(self, rng):
+        # every column's minimum scales to exactly 0, so no column is all
+        # positive; this is what keeps an outer stepwise fit from raising
+        raw_flags = 0
+        for trial in range(150):
+            n = int(rng.integers(6, 40))
+            columns = [rng.lognormal(0.0, 1.5, n) + 1.0,          # skewed
+                       rng.uniform(1.0, 2.0, n),
+                       rng.integers(1, 4, n).astype(float),       # tied minima
+                       np.where(np.arange(n) % 2, 3.0, 5.0),      # tied minima
+                       np.full(n, 7.0)]                           # constant
+            picked = rng.choice(len(columns), int(rng.integers(1, 6)))
+            X = np.column_stack([columns[c] for c in picked])
+            y = rng.uniform(5.0, 40.0, n)
+            # the raw columns are all positive, so a non-normal one would
+            # be log-scaled
+            raw_flags += sum(not normality_check(col).is_normal for col in X.T)
+            scaled = minmax_apply(minmax_fit(X), X)
+            assert scaled.min(axis=0).max() == 0.0
+            assert not any(stepwise_fit(scaled, y).log_flags)
+        assert raw_flags > 0
 
     def test_too_small_rejected(self, rng):
         X = rng.uniform(0, 1, (5, 4))
