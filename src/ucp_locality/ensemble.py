@@ -15,7 +15,7 @@ from .dataset import N_FACTORS, validate_factor_score
 from .regressors.cart import cart_fit, cart_fit_loo
 from .regressors.stepwise import DEFAULT_ALPHA_REMOVE as STEPWISE_ALPHA
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
-from .regressors.stepwise import stepwise_fit
+from .regressors.stepwise import stepwise_fit, stepwise_fit_loo
 from .regressors.svr import DEFAULT_TOL as SVR_TOL
 from .regressors.svr import svr_fit, svr_fit_loo
 
@@ -115,9 +115,9 @@ class BaseModelParams:
         (held_out, at_query), one value per fold each; at_query is None
         without a query.
 
-        SVR folds are solved together by `svr_fit_loo` and CART folds grown
-        together by `cart_fit_loo`.  Stepwise folds are fit one at a time,
-        and a fold's model that cannot evaluate a point (a log-scaled
+        The folds are solved together: SVR folds by `svr_fit_loo`, CART
+        folds by `cart_fit_loo` and stepwise folds by `stepwise_fit_loo`.
+        A stepwise fold's model that cannot evaluate a point (a log-scaled
         feature at a non-positive value) predicts that fold's training mean
         there.
         """
@@ -129,28 +129,29 @@ class BaseModelParams:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         folds = [int(i) for i in folds]
-        held_out = np.empty(len(folds))
-        at_query = None if query is None else np.empty(len(folds))
         if kind == "svr":
             models = svr_fit_loo(X, y, folds, c=self.svr_c,
                                  epsilon=self.svr_epsilon, gamma=self.svr_gamma)
-            for k, (i, model) in enumerate(zip(folds, models)):
+        elif kind == "stepwise":
+            models = stepwise_fit_loo(X, y, folds)
+            # each fold's training mean; a C-contiguous row's mean equals
+            # the 1-d mean bit for bit
+            rows = np.arange(y.size - 1)
+            means = y[rows + (rows >= np.array(folds)[:, None])].mean(axis=1)
+        else:
+            raise ValueError(f"unknown base model {kind!r}")
+        held_out = np.empty(len(folds))
+        at_query = None if query is None else np.empty(len(folds))
+        for k, (i, model) in enumerate(zip(folds, models)):
+            if kind == "stepwise":
+                mean = float(means[k])
+                held_out[k] = predict_or_fallback(model, X[i], mean)
+                if query is not None:
+                    at_query[k] = predict_or_fallback(model, query, mean)
+            else:
                 held_out[k] = model.predict(X[i])
                 if query is not None:
                     at_query[k] = model.predict(query)
-            return held_out, at_query
-        if kind != "stepwise":
-            raise ValueError(f"unknown base model {kind!r}")
-        keep = np.ones(y.size, dtype=bool)
-        for k, i in enumerate(folds):
-            keep[i] = False
-            y_train = y[keep]
-            model = self.fit_one(kind, X[keep], y_train)
-            mean = float(y_train.mean())
-            held_out[k] = predict_or_fallback(model, X[i], mean)
-            if query is not None:
-                at_query[k] = predict_or_fallback(model, query, mean)
-            keep[i] = True
         return held_out, at_query
 
     def to_dict(self) -> dict:
@@ -255,11 +256,12 @@ def inner_error_profile(X, y, ucp=None,
     takes that prediction instead of refitting; the entry is then dropped.
     Fits are deterministic, so results equal those without a memo.
 
-    One pass takes what the memo holds; the folds left are then solved by
-    one `params.fit_loo` call per base model, which predicts at `query` only
-    when there is a memo to store it in.  A stepwise fold that cannot
-    evaluate its held-out row predicts its training mean there; no other
-    learner or fit needs that fallback.
+    One pass takes what the memo holds; the folds left are then solved
+    together by one `params.fit_loo` call per base model (SVR, stepwise and
+    CART folds are each fit in lockstep, never one fold at a time), which
+    predicts at `query` only when there is a memo to store it in.  A
+    stepwise fold that cannot evaluate its held-out row predicts its
+    training mean there; no other learner or fit needs that fallback.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

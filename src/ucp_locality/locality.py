@@ -99,19 +99,59 @@ class KMeansResult:
     inertia_history: tuple[float, ...]
 
 
-def _inertia(points: np.ndarray, assignments: np.ndarray,
-             centroids: np.ndarray) -> float:
-    diffs = points - centroids[assignments]
-    return float(np.sum(diffs * diffs))
+def _repopulate(points: np.ndarray, dists: np.ndarray,
+                assignments: np.ndarray, centroids: np.ndarray) -> None:
+    """Give every empty cluster a point, in place: its centroid is re-seeded
+    from the point currently farthest from its own centroid.  A reseed can
+    empty the donor cluster, so rescan until stable; this terminates because
+    k never exceeds the number of distinct points."""
+    n, k = dists.shape
+    for _ in range(n + 1):
+        empty = [c for c in range(k) if not np.any(assignments == c)]
+        if not empty:
+            return
+        for cluster in empty:
+            farthest = int(np.argmax(dists[np.arange(n), assignments]))
+            assignments[farthest] = cluster
+            centroids[cluster] = points[farthest]
+            dists[:, cluster] = np.linalg.norm(points - centroids[cluster], axis=1)
+    raise RuntimeError("could not repopulate empty clusters")
+
+
+def _cluster_means(points: np.ndarray, assignments: np.ndarray,
+                   counts: np.ndarray) -> np.ndarray:
+    """(runs, k, d) centroids: each cluster's members, gathered in point
+    order into a (runs, k, max members, d) array padded with -0.0, summed
+    over members and divided by the counts.  -0.0 is the exact additive
+    identity, so every mean equals `points[assignments == c].mean(axis=0)`
+    bit for bit."""
+    runs, n = assignments.shape
+    run = np.arange(runs)[:, None]
+    order = np.argsort(assignments, axis=1, kind="stable")
+    labels = assignments[run, order]
+    first = np.cumsum(counts, axis=1) - counts
+    members = np.full((runs, counts.shape[1], int(counts.max()),
+                       points.shape[1]), -0.0)
+    members[run, labels, np.arange(n) - first[run, labels]] = points[order]
+    return members.sum(axis=2) / counts[:, :, None]
 
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
-    """Lloyd's algorithm with Euclidean distance.
+    """Best of `KMEANS_RESTARTS` Lloyd runs with Euclidean distance: the run
+    with the lowest final inertia, the first winning ties.
 
-    Centroids start at k distinct points chosen by the seeded generator, and
-    iteration stops at an assignment fixpoint or after 300 iterations.  If a
-    cluster empties, its centroid is re-seeded from the point currently
-    farthest from its own centroid (which keeps the objective non-increasing).
+    Run r starts its centroids at k distinct points chosen by a generator
+    seeded with `derive_seed(seed, r)`, and stops at an assignment fixpoint
+    or after 300 iterations.  If a cluster empties, its centroid is
+    re-seeded from the point currently farthest from its own centroid
+    (which keeps the objective non-increasing).
+
+    The runs iterate in lockstep over a (runs, k, d) centroid stack, and a
+    run leaves the stack at its fixpoint.  Distances, assignments, means
+    and inertia are computed for all live runs at once, each with the
+    arithmetic a lone run would use, so the result equals running the
+    restarts one at a time bit for bit; only the rare reseed is done run by
+    run.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -123,40 +163,42 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         raise ValueError(
             f"k={k} exceeds the {unique.shape[0]} distinct points")
 
-    rng = np.random.default_rng(seed)
-    centroids = unique[rng.choice(unique.shape[0], size=k, replace=False)]
-
-    assignments = np.full(points.shape[0], -1)
-    history: list[float] = []
-    n_iter = 0
+    centroids = np.stack([
+        unique[np.random.default_rng(derive_seed(seed, r)).choice(
+            unique.shape[0], size=k, replace=False)]
+        for r in range(KMEANS_RESTARTS)])
+    assignments = np.full((KMEANS_RESTARTS, points.shape[0]), -1)
+    history: list[list[float]] = [[] for _ in range(KMEANS_RESTARTS)]
+    live = np.arange(KMEANS_RESTARTS)
     for n_iter in range(1, KMEANS_MAX_ITER + 1):
-        dists = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
-        new_assignments = np.argmin(dists, axis=1)
+        current = centroids[live]
+        # np.linalg.norm(diffs, axis=3), squaring in place so that only one
+        # (runs, n, k, d) temporary is live
+        diffs = points[None, :, None] - current[:, None]
+        dists = np.sqrt(np.add.reduce(np.multiply(diffs, diffs, out=diffs), axis=3))
+        new_assignments = np.argmin(dists, axis=2)
+        counts = (new_assignments[:, :, None] == np.arange(k)).sum(axis=1)
+        for j in np.nonzero(np.any(counts == 0, axis=1))[0]:
+            _repopulate(points, dists[j], new_assignments[j], current[j])
+            counts[j] = np.bincount(new_assignments[j], minlength=k)
 
-        # A reseed can empty the donor cluster, so rescan until stable;
-        # terminates because k never exceeds the number of distinct points.
-        for _ in range(points.shape[0] + 1):
-            empty = [c for c in range(k) if not np.any(new_assignments == c)]
-            if not empty:
-                break
-            for cluster in empty:
-                assigned_dist = dists[np.arange(points.shape[0]), new_assignments]
-                farthest = int(np.argmax(assigned_dist))
-                new_assignments[farthest] = cluster
-                centroids[cluster] = points[farthest]
-                dists[:, cluster] = np.linalg.norm(points - centroids[cluster], axis=1)
-        else:
-            raise RuntimeError("could not repopulate empty clusters")
-
-        converged = np.array_equal(new_assignments, assignments)
-        assignments = new_assignments
-        for cluster in range(k):
-            centroids[cluster] = points[assignments == cluster].mean(axis=0)
-        history.append(_inertia(points, assignments, centroids))
-        if converged:
+        converged = np.all(new_assignments == assignments[live], axis=1)
+        assignments[live] = new_assignments
+        current = _cluster_means(points, new_assignments, counts)
+        centroids[live] = current
+        diffs = points - current[np.arange(live.size)[:, None], new_assignments]
+        inertia = np.sum(diffs * diffs, axis=(1, 2))
+        for r, value in zip(live, inertia):
+            history[r].append(float(value))
+        live = live[~converged]
+        if not live.size:
             break
-    return KMeansResult(assignments=assignments, centroids=centroids,
-                        n_iter=n_iter, inertia_history=tuple(history))
+    final = [h[-1] for h in history]
+    best = final.index(min(final))
+    return KMeansResult(assignments=assignments[best].copy(),
+                        centroids=centroids[best].copy(),
+                        n_iter=len(history[best]),
+                        inertia_history=tuple(history[best]))
 
 
 def dunn_index(points: np.ndarray, assignments: np.ndarray,
@@ -191,18 +233,6 @@ def dunn_index(points: np.ndarray, assignments: np.ndarray,
     return min_gap / max_diameter
 
 
-def best_kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
-    """Best-of-restarts Lloyd run (lowest final inertia); restart seeds are
-    derived from (seed, restart index), so the result is deterministic."""
-    best: KMeansResult | None = None
-    for r in range(KMEANS_RESTARTS):
-        result = kmeans(points, k, derive_seed(seed, r))
-        if best is None or result.inertia_history[-1] < best.inertia_history[-1]:
-            best = result
-    assert best is not None
-    return best
-
-
 def select_k(points: np.ndarray, k_min: int, k_max: int,
              seed: int) -> tuple[int, KMeansResult]:
     """Run k-means for each k in [k_min, k_max] (fresh derived seed per k,
@@ -223,7 +253,7 @@ def select_k(points: np.ndarray, k_min: int, k_max: int,
     best_result = None
     best_index = -float("inf")
     for k in range(k_min, k_max + 1):
-        result = best_kmeans(points, k, derive_seed(seed, k))
+        result = kmeans(points, k, derive_seed(seed, k))
         index = dunn_index(points, result.assignments, result.centroids)
         if index > best_index:
             best_k, best_result, best_index = k, result, index

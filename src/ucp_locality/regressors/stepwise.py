@@ -4,7 +4,8 @@ Each feature that fails the normality check is moved to a natural log scale
 first (only possible when all its training values are positive).  Ordinary
 least squares is then refit repeatedly, dropping the least significant
 feature until every retained coefficient has p <= alpha; the intercept is
-always kept.
+always kept.  `stepwise_fit_loo` runs the eliminations of every
+leave-one-out fold of a training set together, with the same models.
 """
 
 from __future__ import annotations
@@ -60,34 +61,47 @@ class StepwiseModel:
         )
 
 
-def _coefficient_p_values(design: np.ndarray, y: np.ndarray,
-                          coefs: np.ndarray) -> np.ndarray:
-    n, p = design.shape
-    dof = n - p
-    residuals = y - design @ coefs
-    rss = float(residuals @ residuals)
-    # residuals at float-noise level make t statistics meaningless; treat
-    # the fit as exact and judge coefficients by contribution instead
-    exact = rss <= 1e-24 * max(float(y @ y), 1e-300)
-    p_values = np.empty(p)
-    if exact:
-        y_scale = max(float(np.std(y)), abs(float(y.mean())), 1.0)
-        for j in range(p):
-            contribution = abs(coefs[j]) * max(float(np.std(design[:, j])), 1.0)
-            p_values[j] = 0.0 if contribution > 1e-9 * y_scale else 1.0
-        return p_values
-    xtx_inv = np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.maximum(rss / dof * np.diag(xtx_inv), 0.0))
-    for j in range(p):
-        t = coefs[j] / se[j] if se[j] > 0 else 0.0
-        p_values[j] = 2.0 * float(stdtr(dof, -abs(t)))
+def _exact_p_values(design: np.ndarray, y: np.ndarray,
+                    coefs: np.ndarray) -> np.ndarray:
+    """Pseudo p-values of an exact fit: residuals at float-noise level make
+    t statistics meaningless, so each coefficient is judged by its
+    contribution instead (0 if it matters, 1 if not)."""
+    y_scale = max(float(np.std(y)), abs(float(y.mean())), 1.0)
+    p_values = np.empty(design.shape[1])
+    for j in range(design.shape[1]):
+        contribution = abs(coefs[j]) * max(float(np.std(design[:, j])), 1.0)
+        p_values[j] = 0.0 if contribution > 1e-9 * y_scale else 1.0
     return p_values
+
+
+def _t_test_p_values(gram: np.ndarray, coefs: np.ndarray, rss: np.ndarray,
+                     dof: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided t-test p-values of stacked fits' coefficients from their
+    Gram matrices, and which fits have a Gram matrix that cannot be
+    inverted (their p-values are meaningless)."""
+    singular = np.zeros(gram.shape[0], dtype=bool)
+    try:
+        xtx_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        # a stacked inverse fails when any member is singular
+        xtx_inv = np.empty_like(gram)
+        for s, matrix in enumerate(gram):
+            try:
+                xtx_inv[s] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                singular[s] = True
+                xtx_inv[s] = np.eye(gram.shape[1])
+    variance = (rss / dof)[:, None] * np.diagonal(xtx_inv, axis1=1, axis2=2)
+    se = np.sqrt(np.maximum(variance, 0.0))
+    t = np.zeros_like(coefs)
+    np.divide(coefs, se, out=t, where=se > 0)
+    return 2.0 * stdtr(dof, -np.abs(t)), singular
 
 
 def _vif_drop(Z: np.ndarray, active: list[int]) -> int:
     """Index (into active) of the feature with the largest variance
     inflation, computed with a pseudoinverse so exact collinearity is
-    handled."""
+    handled.  A constant feature's inflation is infinite."""
     worst_j, worst_vif = 0, -np.inf
     for j, _ in enumerate(active):
         target = Z[:, active[j]]
@@ -96,64 +110,135 @@ def _vif_drop(Z: np.ndarray, active: list[int]) -> int:
         fitted = design @ np.linalg.pinv(design) @ target
         ss_res = float(np.sum((target - fitted) ** 2))
         ss_tot = float(np.sum((target - target.mean()) ** 2))
-        vif = np.inf if ss_res <= 1e-12 * max(ss_tot, 1.0) else 1.0 / (ss_res / ss_tot)
+        if ss_tot == 0 or ss_res <= 1e-12 * max(ss_tot, 1.0):
+            vif = np.inf
+        else:
+            vif = 1.0 / (ss_res / ss_tot)
         if vif > worst_vif:
             worst_j, worst_vif = j, vif
     return worst_j
 
 
-def stepwise_fit(X, y, alpha_remove: float = DEFAULT_ALPHA_REMOVE) -> StepwiseModel:
+def _fit_sets(Xs: np.ndarray, ys: np.ndarray,
+              alpha_remove: float) -> list[StepwiseModel]:
+    """The stepwise model of each training set (Xs[s], ys[s]).
+
+    The sets' eliminations run in lockstep.  Each step removes one feature
+    from every set that goes on, so all live sets have the same number of
+    active features and their designs form one C-contiguous (sets, n,
+    1 + features) stack.  Each set gets its own least-squares solve; the
+    residuals, Gram matrices, t statistics and p-values are computed over
+    the stack.  Every operation sees the numbers and memory layout a lone
+    fit would, so each model is the same bit for bit whatever sets it is
+    fit with.  A set leaves the stack when its elimination stops.
+
+    `Xs` must be C-contiguous; its log-flagged columns are log-scaled in
+    place.
+    """
+    n_sets, n, n_features = Xs.shape
+    log_flags = np.zeros((n_sets, n_features), dtype=bool)
+    # the normality verdict matters only for a positive column
+    for s, j in zip(*np.nonzero(Xs.min(axis=1) > 0)):
+        if not normality_check(Xs[s, :, j]).is_normal:
+            log_flags[s, j] = True
+            Xs[s, :, j] = np.log(Xs[s, :, j])
+
+    models: list[StepwiseModel | None] = [None] * n_sets
+    live = np.arange(n_sets)
+    active = np.tile(np.arange(n_features), (n_sets, 1))
+    while live.size and active.shape[1]:
+        m, p = live.size, active.shape[1] + 1
+        designs = np.empty((m, n, p))
+        designs[:, :, 0] = 1.0
+        for c in range(p - 1):
+            designs[:, :, 1 + c] = Xs[live, :, active[:, c]]
+        y = ys[live]
+        coefs = np.empty((m, p))
+        deficient = np.empty(m, dtype=bool)
+        for g in range(m):
+            coefs[g], _, rank, _ = np.linalg.lstsq(designs[g], y[g], rcond=None)
+            deficient[g] = rank < p
+        residuals = y - (designs @ coefs[:, :, None])[:, :, 0]
+        rss = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
+        y_norm = (y[:, None, :] @ y[:, :, None])[:, 0, 0]
+        # with no residual degrees of freedom or residuals at float-noise
+        # level, t statistics are meaningless
+        exact = ~deficient & ((n == p) | (rss <= 1e-24 * np.maximum(y_norm, 1e-300)))
+        p_values = np.zeros((m, p))
+        for g in np.nonzero(exact)[0]:
+            p_values[g] = _exact_p_values(designs[g], y[g], coefs[g])
+        tested = np.nonzero(~deficient & ~exact)[0]
+        if tested.size:
+            gram = np.swapaxes(designs, 1, 2) @ designs
+            p_values[tested], singular = _t_test_p_values(
+                gram[tested], coefs[tested], rss[tested], n - p)
+            deficient[tested[singular]] = True
+
+        feature_p = p_values[:, 1:]
+        drop = np.argmax(feature_p, axis=1)
+        for g in np.nonzero(deficient)[0]:
+            drop[g] = _vif_drop(Xs[live[g]], active[g].tolist())
+        done = ~deficient & ~(feature_p[np.arange(m), drop] > alpha_remove)
+        for g in np.nonzero(done)[0]:
+            models[live[g]] = StepwiseModel(
+                feature_indices=tuple(active[g].tolist()),
+                coefficients=tuple(coefs[g, 1:].tolist()),
+                intercept=float(coefs[g, 0]),
+                log_flags=tuple(log_flags[live[g]].tolist()),
+                p_values=tuple(feature_p[g].tolist()),
+                n_train=n,
+            )
+        kept = np.ones(active.shape, dtype=bool)
+        kept[np.arange(m), drop] = False
+        active = active[kept].reshape(m, p - 2)[~done]
+        live = live[~done]
+    for s in live:
+        models[s] = StepwiseModel(
+            feature_indices=(), coefficients=(), intercept=float(ys[s].mean()),
+            log_flags=tuple(log_flags[s].tolist()), p_values=(), n_train=n)
+    return models
+
+
+def _checked(X, y, alpha_remove: float) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("X must be (n, f) with one target per row")
-    n, n_features = X.shape
-    if n < MIN_TRAIN:
-        raise ValueError(f"stepwise regression needs at least {MIN_TRAIN} "
-                         f"training projects, got {n}")
     if not 0 < alpha_remove < 1:
         raise ValueError(f"alpha_remove must be in (0, 1), got {alpha_remove}")
+    return X, y
 
-    log_flags = []
-    for j in range(n_features):
-        col = X[:, j]
-        # the normality verdict matters only for a positive column
-        log_flags.append(bool(col.min() > 0
-                              and not normality_check(col).is_normal))
-    Z = X.copy()
-    for j, flag in enumerate(log_flags):
-        if flag:
-            Z[:, j] = np.log(Z[:, j])
 
-    active = list(range(n_features))
-    while active:
-        design = np.column_stack([np.ones(n)] + [Z[:, j] for j in active])
-        coefs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < design.shape[1]:
-            del active[_vif_drop(Z, active)]
-            continue
-        p_values = _coefficient_p_values(design, y, coefs)
-        feature_p = p_values[1:]
-        worst = int(np.argmax(feature_p))
-        if feature_p[worst] > alpha_remove:
-            del active[worst]
-        else:
-            return StepwiseModel(
-                feature_indices=tuple(active),
-                coefficients=tuple(float(c) for c in coefs[1:]),
-                intercept=float(coefs[0]),
-                log_flags=tuple(log_flags),
-                p_values=tuple(float(p) for p in feature_p),
-                n_train=n,
-            )
-    return StepwiseModel(
-        feature_indices=(),
-        coefficients=(),
-        intercept=float(y.mean()),
-        log_flags=tuple(log_flags),
-        p_values=(),
-        n_train=n,
-    )
+def _too_few(n: int) -> ValueError:
+    return ValueError(f"stepwise regression needs at least {MIN_TRAIN} "
+                      f"training projects, got {n}")
+
+
+def stepwise_fit(X, y, alpha_remove: float = DEFAULT_ALPHA_REMOVE) -> StepwiseModel:
+    X, y = _checked(X, y, alpha_remove)
+    if y.size < MIN_TRAIN:
+        raise _too_few(y.size)
+    return _fit_sets(X[None].copy(), y[None], alpha_remove)[0]
+
+
+def stepwise_fit_loo(X, y, folds,
+                     alpha_remove: float = DEFAULT_ALPHA_REMOVE) -> list[StepwiseModel]:
+    """For each row index i in `folds`, the model that `stepwise_fit`
+    returns on X and y without row i, with the same removal level.  The
+    folds' training sets are gathered into one stack and eliminated
+    together (see `_fit_sets`)."""
+    X, y = _checked(X, y, alpha_remove)
+    n = y.size
+    folds = np.array([int(i) for i in folds], dtype=int)
+    if np.any((folds < 0) | (folds >= n)):
+        raise ValueError(f"fold indices must be within 0..{n - 1}")
+    if not folds.size:
+        return []
+    if n - 1 < MIN_TRAIN:
+        raise _too_few(n - 1)
+    rows = np.arange(n - 1)
+    train = rows + (rows >= folds[:, None])
+    return _fit_sets(X[train], y[train], alpha_remove)
 
 
 def stepwise_predict(model: StepwiseModel, x) -> float:

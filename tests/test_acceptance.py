@@ -31,9 +31,9 @@ from ucp_locality.evaluation import (
     mibre,
 )
 from ucp_locality.locality import (
-    best_kmeans,
     derive_seed,
     dunn_index,
+    kmeans,
     merge_level,
     partition_by_factor,
     partition_by_kmeans,
@@ -298,7 +298,7 @@ def test_criterion_09_select_k_oracle():
 
         best_k, best_index = None, -np.inf
         for k in range(2, k_max + 1):
-            result = best_kmeans(pts, k, derive_seed(trial, k))
+            result = kmeans(pts, k, derive_seed(trial, k))
             index = dunn_index(pts, result.assignments, result.centroids)
             if index > best_index:
                 best_k, best_index = k, index

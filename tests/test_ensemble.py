@@ -378,6 +378,25 @@ class TestInnerFitMemo:
             assert fitted.profile == per_fold_profile(
                 X, y, ucp, settings.base_params)
 
+    def test_loocv_fits_stepwise_once_per_fold(self, monkeypatch):
+        import ucp_locality.ensemble as ensemble_module
+        import ucp_locality.regressors.stepwise as stepwise_module
+
+        calls = []
+        fit = stepwise_module.stepwise_fit
+
+        def counting_fit(X, y, *args, **kwargs):
+            calls.append(len(y))
+            return fit(X, y, *args, **kwargs)
+
+        for module in (ensemble_module, stepwise_module):
+            monkeypatch.setattr(module, "stepwise_fit", counting_fit)
+        data = generate_synthetic(5, 20)
+        loocv_run(data, "none", "ensemble", RunSettings(seed=3))
+        # inner stepwise folds are eliminated together by
+        # `stepwise_fit_loo`; the only fits are the n final ones
+        assert calls == [len(data) - 1] * len(data)
+
     def test_memo_needs_query(self, rng):
         X, y, ucp = fixture_training(rng, 8)
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import ucp_locality.locality as locality
 from ucp_locality.locality import (
+    KMEANS_MAX_ITER,
+    KMEANS_RESTARTS,
     MergedLevel,
     Partitioning,
     assign,
@@ -29,6 +32,51 @@ def blob_instance(rng, centers, per_blob, spread=0.02):
     for c in centers:
         points.append(rng.normal(c, spread, (per_blob, 8)))
     return np.vstack(points)
+
+
+def loop_kmeans(points, k, seed, reseeds):
+    """Reference Lloyd run, one restart on its own; appends to `reseeds`
+    each time it re-seeds an empty cluster."""
+    unique = np.unique(points, axis=0)
+    rng = np.random.default_rng(seed)
+    centroids = unique[rng.choice(unique.shape[0], size=k, replace=False)]
+    assignments = np.full(points.shape[0], -1)
+    history = []
+    n_iter = 0
+    for n_iter in range(1, KMEANS_MAX_ITER + 1):
+        dists = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
+        new_assignments = np.argmin(dists, axis=1)
+        for _ in range(points.shape[0] + 1):
+            empty = [c for c in range(k) if not np.any(new_assignments == c)]
+            if not empty:
+                break
+            for cluster in empty:
+                reseeds.append(cluster)
+                assigned_dist = dists[np.arange(points.shape[0]), new_assignments]
+                farthest = int(np.argmax(assigned_dist))
+                new_assignments[farthest] = cluster
+                centroids[cluster] = points[farthest]
+                dists[:, cluster] = np.linalg.norm(points - centroids[cluster], axis=1)
+        converged = np.array_equal(new_assignments, assignments)
+        assignments = new_assignments
+        for cluster in range(k):
+            centroids[cluster] = points[assignments == cluster].mean(axis=0)
+        diffs = points - centroids[assignments]
+        history.append(float(np.sum(diffs * diffs)))
+        if converged:
+            break
+    return assignments, centroids, n_iter, tuple(history)
+
+
+def loop_best_kmeans(points, k, seed, reseeds):
+    """Reference for `kmeans`: the restarts run one after another, and the
+    first with the lowest final inertia is kept."""
+    best = None
+    for r in range(KMEANS_RESTARTS):
+        run = loop_kmeans(points, k, derive_seed(seed, r), reseeds)
+        if best is None or run[3][-1] < best[3][-1]:
+            best = run
+    return best
 
 
 class TestMergeLevel:
@@ -119,6 +167,39 @@ class TestKMeans:
             hist = np.array(result.inertia_history)
             assert np.all(np.diff(hist) <= 1e-9)
 
+    def assert_equals_loop(self, pts, k, seed, reseeds):
+        result = kmeans(pts, k, seed)
+        assignments, centroids, n_iter, history = loop_best_kmeans(
+            pts, k, seed, reseeds)
+        assert result.assignments.dtype == assignments.dtype
+        assert np.array_equal(result.assignments, assignments)
+        assert result.centroids.shape == centroids.shape
+        assert result.centroids.tobytes() == centroids.tobytes()
+        assert type(result.n_iter) is int and result.n_iter == n_iter
+        assert result.inertia_history == history
+
+    def test_restarts_in_lockstep_equal_loop_bit_for_bit(self, rng):
+        reseeds = []
+        for trial in range(24):
+            n = int(rng.integers(6, 60))
+            if trial % 2:
+                # factor scores: few levels, many ties and duplicate points
+                pts = rng.integers(0, 6, (n, 8)) / 5.0
+            else:
+                pts = rng.uniform(0, 1, (n, 8))
+            n_distinct = np.unique(pts, axis=0).shape[0]
+            for k in range(2, min(10, n_distinct) + 1):
+                self.assert_equals_loop(pts, k, int(rng.integers(1 << 30)),
+                                        reseeds)
+
+    def test_reseeded_runs_equal_loop_bit_for_bit(self):
+        # on these six points several restarts empty a cluster mid-run
+        pts = pad8([(0, 9), (2, 4), (0, 2), (2, 6), (7, 6), (9, 5)])
+        reseeds = []
+        for seed in range(10):
+            self.assert_equals_loop(pts, 3, seed, reseeds)
+        assert len(reseeds) > 0
+
     def test_no_empty_clusters(self, rng):
         for trial in range(10):
             pts = rng.uniform(0, 1, (25, 8))
@@ -200,16 +281,27 @@ class TestSelectK:
         with pytest.raises(ValueError):
             select_k(pts, 2, 10, seed=1)
 
-    def test_matches_exhaustive_evaluation(self, rng):
-        from ucp_locality.locality import best_kmeans
+    def test_one_kmeans_call_per_k(self, rng, monkeypatch):
+        calls = []
+        kmeans_restarts = locality.kmeans
 
+        def counting_kmeans(points, k, seed):
+            calls.append(k)
+            return kmeans_restarts(points, k, seed)
+
+        monkeypatch.setattr(locality, "kmeans", counting_kmeans)
+        pts = blob_instance(rng, [np.zeros(8), np.ones(8)], 6)
+        select_k(pts, 2, 10, seed=11)
+        assert calls == list(range(2, 11))
+
+    def test_matches_exhaustive_evaluation(self, rng):
         for trial in range(10):
             pts = blob_instance(rng, [np.zeros(8), np.ones(8)], 5)
             k_star, result = select_k(pts, 2, 6, seed=trial)
 
             best_k, best_index = None, -np.inf
             for k in range(2, min(6, np.unique(pts, axis=0).shape[0]) + 1):
-                r = best_kmeans(pts, k, derive_seed(trial, k))
+                r = kmeans(pts, k, derive_seed(trial, k))
                 index = dunn_index(pts, r.assignments, r.centroids)
                 if index > best_index:
                     best_k, best_index = k, index

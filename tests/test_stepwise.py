@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import stdtr
 
 from ucp_locality.preprocess import minmax_apply, minmax_fit, normality_check
 from ucp_locality.regressors import stepwise_fit, stepwise_predict
 from ucp_locality.regressors.base import model_from_dict
+from ucp_locality.regressors.stepwise import StepwiseModel, stepwise_fit_loo
 
 
 def normal_equations(design, y):
@@ -17,6 +19,123 @@ def exactfit_features(rng, n):
     X = rng.uniform(0.05, 1.0, (n, 4))
     X[0, :] = 0.0
     return X
+
+
+def loop_vif_drop(Z, active, seen):
+    worst_j, worst_vif = 0, -np.inf
+    for j in range(len(active)):
+        target = Z[:, active[j]]
+        others = [active[m] for m in range(len(active)) if m != j]
+        design = np.column_stack([np.ones(Z.shape[0])] + [Z[:, o] for o in others])
+        fitted = design @ np.linalg.pinv(design) @ target
+        ss_res = float(np.sum((target - fitted) ** 2))
+        ss_tot = float(np.sum((target - target.mean()) ** 2))
+        if ss_res <= 1e-12 * max(ss_tot, 1.0):
+            vif = np.inf
+        elif ss_tot == 0:
+            seen.add("constant target")
+            vif = np.inf
+        else:
+            vif = 1.0 / (ss_res / ss_tot)
+        if vif > worst_vif:
+            worst_j, worst_vif = j, vif
+    return worst_j
+
+
+def loop_stepwise_fit(X, y, seen, alpha_remove=0.05):
+    """Reference backward elimination, one design and one step at a time;
+    adds to `seen` the name of each special branch it takes."""
+    n, n_features = X.shape
+    log_flags = [bool(X[:, j].min() > 0 and not normality_check(X[:, j]).is_normal)
+                 for j in range(n_features)]
+    Z = X.copy()
+    for j, flag in enumerate(log_flags):
+        if flag:
+            seen.add("log flag")
+            Z[:, j] = np.log(Z[:, j])
+    active = list(range(n_features))
+    while active:
+        design = np.column_stack([np.ones(n)] + [Z[:, j] for j in active])
+        p = design.shape[1]
+        coefs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank < p:
+            seen.add("rank deficient")
+            del active[loop_vif_drop(Z, active, seen)]
+            continue
+        residuals = y - design @ coefs
+        rss = float(residuals @ residuals)
+        p_values = np.empty(p)
+        if n == p or rss <= 1e-24 * max(float(y @ y), 1e-300):
+            seen.add("exact")
+            y_scale = max(float(np.std(y)), abs(float(y.mean())), 1.0)
+            for j in range(p):
+                contribution = abs(coefs[j]) * max(float(np.std(design[:, j])), 1.0)
+                p_values[j] = 0.0 if contribution > 1e-9 * y_scale else 1.0
+        else:
+            try:
+                xtx_inv = np.linalg.inv(design.T @ design)
+            except np.linalg.LinAlgError:
+                seen.add("singular gram")
+                del active[loop_vif_drop(Z, active, seen)]
+                continue
+            se = np.sqrt(np.maximum(rss / (n - p) * np.diag(xtx_inv), 0.0))
+            for j in range(p):
+                t = coefs[j] / se[j] if se[j] > 0 else 0.0
+                p_values[j] = 2.0 * float(stdtr(n - p, -abs(t)))
+        feature_p = p_values[1:]
+        worst = int(np.argmax(feature_p))
+        if feature_p[worst] > alpha_remove:
+            del active[worst]
+        else:
+            return StepwiseModel(
+                feature_indices=tuple(active),
+                coefficients=tuple(float(c) for c in coefs[1:]),
+                intercept=float(coefs[0]), log_flags=tuple(log_flags),
+                p_values=tuple(float(p) for p in feature_p), n_train=n)
+    return StepwiseModel(feature_indices=(), coefficients=(),
+                         intercept=float(y.mean()), log_flags=tuple(log_flags),
+                         p_values=(), n_train=n)
+
+
+def raw_design(rng, kind):
+    """Designs of every kind the elimination must handle, unscaled."""
+    n = int(rng.integers(8, 60))
+    if kind == "random":
+        X = rng.uniform(0, 1, (n, 4))
+        return X, X @ rng.normal(0, 2, 4) + rng.normal(0, 0.5, n)
+    if kind == "ties":
+        X = rng.integers(1, 4, (n, 4)).astype(float)
+        return X, rng.integers(0, 5, n).astype(float)
+    if kind == "collinear":
+        X = rng.uniform(0, 1, (n, 4))
+        X[:, 3] = 2.0 * X[:, 0] - X[:, 1]
+        return X, X[:, 0] + rng.normal(0, 0.2, n)
+    if kind == "exact":
+        X = rng.uniform(0.1, 2.0, (n, 3))
+        return X, 1.5 + X @ np.array([1.0, 0.0, 3.0])
+    if kind == "lognormal":
+        X = rng.lognormal(0, 1, (n, 3))
+        return X, 3.0 * np.log(X[:, 0]) + rng.normal(0, 0.3, n)
+    if kind == "constant":
+        X = np.column_stack([rng.uniform(0, 1, n), np.full(n, 7.0),
+                             rng.lognormal(0, 1.5, n)])
+        return X, 4.0 * X[:, 0] + rng.normal(0, 0.5, n)
+    raise ValueError(kind)
+
+
+def near_constant_design(seed):
+    """A raw design with one column at 3.0 and 3.0 + 1e-9, mixed with
+    constant, tied and skewed columns.  Many of these make backward
+    elimination regress a constant column on the others, or leave a
+    full-rank least-squares fit whose Gram matrix is singular."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 30))
+    columns = [np.where(rng.uniform(size=n) < 0.5, 3.0, 3.0 + 1e-9),
+               np.full(n, 7.0),
+               rng.integers(1, 4, n).astype(float),
+               rng.lognormal(0, 1.5, n) + 1.0]
+    picked = rng.choice(4, int(rng.integers(2, 5)))
+    return np.column_stack([columns[c] for c in picked]), rng.uniform(5, 40, n)
 
 
 class TestStepwiseFit:
@@ -139,6 +258,55 @@ class TestStepwiseFit:
         X = rng.uniform(0.2, 1.0, (30, 4))
         y = X[:, 0] + rng.normal(0, 0.5, 30)
         assert stepwise_fit(X, y).to_dict() == stepwise_fit(X, y).to_dict()
+
+
+class TestStepwiseFitLoo:
+    KINDS = ("random", "ties", "collinear", "exact", "lognormal", "constant")
+
+    def test_folds_equal_loop_fits_bit_for_bit(self, rng):
+        seen = set()
+        for trial in range(36):
+            X, y = raw_design(rng, self.KINDS[trial % 6])
+            if trial % 12 >= 6:
+                X = minmax_apply(minmax_fit(X), X)
+            models = stepwise_fit_loo(X, y, range(y.size))
+            assert len(models) == y.size
+            for i, model in enumerate(models):
+                X_i, y_i = np.delete(X, i, axis=0), np.delete(y, i)
+                expected = loop_stepwise_fit(X_i, y_i, seen).to_dict()
+                assert model.to_dict() == expected
+                assert stepwise_fit(X_i, y_i).to_dict() == expected
+        assert seen >= {"log flag", "rank deficient", "exact"}
+
+    def test_near_constant_designs_fit(self):
+        # a constant regression target in the variance-inflation step and a
+        # singular Gram matrix after a full-rank solve both drop a feature
+        seen = set()
+        for seed in range(40):
+            X, y = near_constant_design(seed)
+            assert stepwise_fit(X, y).to_dict() == loop_stepwise_fit(X, y, seen).to_dict()
+            models = stepwise_fit_loo(X, y, range(y.size))
+            for i, model in enumerate(models):
+                assert model.to_dict() == loop_stepwise_fit(
+                    np.delete(X, i, axis=0), np.delete(y, i), seen).to_dict()
+        assert seen >= {"constant target", "singular gram"}
+
+    def test_repeated_unordered_and_empty_folds(self, rng):
+        X, y = raw_design(rng, "lognormal")
+        for folds in ([3, 0, 3, 7], [5], []):
+            models = stepwise_fit_loo(X, y, folds)
+            assert [m.to_dict() for m in models] == [
+                stepwise_fit(np.delete(X, i, axis=0), np.delete(y, i)).to_dict()
+                for i in folds]
+
+    def test_invalid_folds_rejected(self, rng):
+        X, y = rng.uniform(0, 1, (10, 3)), rng.uniform(5, 40, 10)
+        for folds in ([-1], [10], [0, 10]):
+            with pytest.raises(ValueError, match="fold indices"):
+                stepwise_fit_loo(X, y, folds)
+        with pytest.raises(ValueError, match="at least"):
+            stepwise_fit_loo(X[:6], y[:6], [0])
+        assert stepwise_fit_loo(X[:6], y[:6], []) == []
 
 
 class TestStepwisePredict:
