@@ -8,12 +8,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .dataset import N_FACTORS, validate_factor_score
 from .regressors.cart import cart_fit, cart_fit_loo
-from .regressors.stepwise import DEFAULT_ALPHA_REMOVE as STEPWISE_ALPHA
+from .regressors.base import loo_train_rows
+from .regressors.stepwise import ALPHA_REMOVE as STEPWISE_ALPHA
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
 from .regressors.stepwise import stepwise_fit, stepwise_fit_loo
 from .regressors.svr import DEFAULT_TOL as SVR_TOL
@@ -130,28 +132,24 @@ class BaseModelParams:
         y = np.asarray(y, dtype=float)
         folds = [int(i) for i in folds]
         if kind == "svr":
-            models = svr_fit_loo(X, y, folds, c=self.svr_c,
-                                 epsilon=self.svr_epsilon, gamma=self.svr_gamma)
+            predictors = [model.predict for model in svr_fit_loo(
+                X, y, folds, c=self.svr_c, epsilon=self.svr_epsilon,
+                gamma=self.svr_gamma)]
         elif kind == "stepwise":
-            models = stepwise_fit_loo(X, y, folds)
             # each fold's training mean; a C-contiguous row's mean equals
             # the 1-d mean bit for bit
-            rows = np.arange(y.size - 1)
-            means = y[rows + (rows >= np.array(folds)[:, None])].mean(axis=1)
+            means = y[loo_train_rows(y.size, folds)].mean(axis=1)
+            predictors = [partial(predict_or_fallback, model, fallback=mean)
+                          for model, mean in zip(stepwise_fit_loo(X, y, folds),
+                                                 means.tolist())]
         else:
             raise ValueError(f"unknown base model {kind!r}")
         held_out = np.empty(len(folds))
         at_query = None if query is None else np.empty(len(folds))
-        for k, (i, model) in enumerate(zip(folds, models)):
-            if kind == "stepwise":
-                mean = float(means[k])
-                held_out[k] = predict_or_fallback(model, X[i], mean)
-                if query is not None:
-                    at_query[k] = predict_or_fallback(model, query, mean)
-            else:
-                held_out[k] = model.predict(X[i])
-                if query is not None:
-                    at_query[k] = model.predict(query)
+        for k, (i, predict) in enumerate(zip(folds, predictors)):
+            held_out[k] = predict(X[i])
+            if query is not None:
+                at_query[k] = predict(query)
         return held_out, at_query
 
     def to_dict(self) -> dict:

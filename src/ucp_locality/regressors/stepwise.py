@@ -16,8 +16,9 @@ import numpy as np
 from scipy.special import stdtr
 
 from ..preprocess import normality_check
+from .base import loo_train_rows
 
-DEFAULT_ALPHA_REMOVE = 0.05
+ALPHA_REMOVE = 0.05
 MIN_TRAIN = 6
 
 
@@ -119,8 +120,7 @@ def _vif_drop(Z: np.ndarray, active: list[int]) -> int:
     return worst_j
 
 
-def _fit_sets(Xs: np.ndarray, ys: np.ndarray,
-              alpha_remove: float) -> list[StepwiseModel]:
+def _fit_sets(Xs: np.ndarray, ys: np.ndarray) -> list[StepwiseModel]:
     """The stepwise model of each training set (Xs[s], ys[s]).
 
     The sets' eliminations run in lockstep.  Each step removes one feature
@@ -178,7 +178,7 @@ def _fit_sets(Xs: np.ndarray, ys: np.ndarray,
         drop = np.argmax(feature_p, axis=1)
         for g in np.nonzero(deficient)[0]:
             drop[g] = _vif_drop(Xs[live[g]], active[g].tolist())
-        done = ~deficient & ~(feature_p[np.arange(m), drop] > alpha_remove)
+        done = ~deficient & ~(feature_p[np.arange(m), drop] > ALPHA_REMOVE)
         for g in np.nonzero(done)[0]:
             models[live[g]] = StepwiseModel(
                 feature_indices=tuple(active[g].tolist()),
@@ -199,13 +199,11 @@ def _fit_sets(Xs: np.ndarray, ys: np.ndarray,
     return models
 
 
-def _checked(X, y, alpha_remove: float) -> tuple[np.ndarray, np.ndarray]:
+def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("X must be (n, f) with one target per row")
-    if not 0 < alpha_remove < 1:
-        raise ValueError(f"alpha_remove must be in (0, 1), got {alpha_remove}")
     return X, y
 
 
@@ -214,20 +212,18 @@ def _too_few(n: int) -> ValueError:
                       f"training projects, got {n}")
 
 
-def stepwise_fit(X, y, alpha_remove: float = DEFAULT_ALPHA_REMOVE) -> StepwiseModel:
-    X, y = _checked(X, y, alpha_remove)
+def stepwise_fit(X, y) -> StepwiseModel:
+    X, y = _checked(X, y)
     if y.size < MIN_TRAIN:
         raise _too_few(y.size)
-    return _fit_sets(X[None].copy(), y[None], alpha_remove)[0]
+    return _fit_sets(X[None].copy(), y[None])[0]
 
 
-def stepwise_fit_loo(X, y, folds,
-                     alpha_remove: float = DEFAULT_ALPHA_REMOVE) -> list[StepwiseModel]:
+def stepwise_fit_loo(X, y, folds) -> list[StepwiseModel]:
     """For each row index i in `folds`, the model that `stepwise_fit`
-    returns on X and y without row i, with the same removal level.  The
-    folds' training sets are gathered into one stack and eliminated
-    together (see `_fit_sets`)."""
-    X, y = _checked(X, y, alpha_remove)
+    returns on X and y without row i.  The folds' training sets are
+    gathered into one stack and eliminated together (see `_fit_sets`)."""
+    X, y = _checked(X, y)
     n = y.size
     folds = np.array([int(i) for i in folds], dtype=int)
     if np.any((folds < 0) | (folds >= n)):
@@ -236,9 +232,8 @@ def stepwise_fit_loo(X, y, folds,
         return []
     if n - 1 < MIN_TRAIN:
         raise _too_few(n - 1)
-    rows = np.arange(n - 1)
-    train = rows + (rows >= folds[:, None])
-    return _fit_sets(X[train], y[train], alpha_remove)
+    train = loo_train_rows(n, folds)
+    return _fit_sets(X[train], y[train])
 
 
 def stepwise_predict(model: StepwiseModel, x) -> float:

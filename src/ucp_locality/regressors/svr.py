@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import loo_train_rows
+
 DEFAULT_C = 1.0
 DEFAULT_EPSILON = 0.1
 DEFAULT_TOL = 0.001
@@ -271,8 +273,7 @@ def svr_fit_loo(X, y, folds, c: float = DEFAULT_C,
     if any(not 0 <= i < n for i in folds):
         raise ValueError(f"fold indices must be within 0..{n - 1}")
 
-    keep = np.array([np.delete(np.arange(n), i) for i in folds],
-                    dtype=int).reshape(len(folds), n - 1)
+    keep = loo_train_rows(n, folds)
     models: list[SvrModel | None] = [None] * len(folds)
     solved, gammas = [], []
     for f, train in enumerate(keep):

@@ -42,7 +42,7 @@ def loop_vif_drop(Z, active, seen):
     return worst_j
 
 
-def loop_stepwise_fit(X, y, seen, alpha_remove=0.05):
+def loop_stepwise_fit(X, y, seen):
     """Reference backward elimination, one design and one step at a time;
     adds to `seen` the name of each special branch it takes."""
     n, n_features = X.shape
@@ -84,7 +84,7 @@ def loop_stepwise_fit(X, y, seen, alpha_remove=0.05):
                 p_values[j] = 2.0 * float(stdtr(n - p, -abs(t)))
         feature_p = p_values[1:]
         worst = int(np.argmax(feature_p))
-        if feature_p[worst] > alpha_remove:
+        if feature_p[worst] > 0.05:
             del active[worst]
         else:
             return StepwiseModel(
