@@ -313,8 +313,7 @@ def _fit_local(args, project: Project) -> LocalModel:
         raise _fail(f"unknown scheme {args.scheme!r}")
     partitioning = None
     if args.scheme != SCHEME_NONE and args.model in LEARNER_MODELS:
-        partitioning = build_partitioning(dataset, args.scheme, settings.seed,
-                                          settings)
+        partitioning = build_partitioning(dataset, args.scheme, settings.seed)
     return fit_local(dataset, project, args.model, settings, partitioning)
 
 

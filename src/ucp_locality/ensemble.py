@@ -18,8 +18,9 @@ from .regressors.base import loo_train_rows
 from .regressors.stepwise import ALPHA_REMOVE as STEPWISE_ALPHA
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
 from .regressors.stepwise import stepwise_fit, stepwise_fit_loo
-from .regressors.svr import DEFAULT_TOL as SVR_TOL
+from .regressors.svr import TOL as SVR_TOL
 from .regressors.svr import svr_fit, svr_fit_loo
+from .stats import mae, mbre, mibre
 
 DEFAULT_ALPHA = 15.0
 PDR_FLOOR = 0.01
@@ -197,15 +198,6 @@ def predict_or_fallback(model, x, fallback: float) -> float:
         return float(fallback)
 
 
-def _metric_triple(actual: np.ndarray, estimate: np.ndarray) -> tuple[float, float, float]:
-    abs_err = np.abs(actual - estimate)
-    return (
-        float(abs_err.mean()),
-        float((abs_err / np.minimum(actual, estimate)).mean()),
-        float((abs_err / np.maximum(actual, estimate)).mean()),
-    )
-
-
 def _normalize_across_models(raw: dict[str, tuple[float, float, float]]) -> dict:
     normalized = {}
     for m in range(3):
@@ -238,7 +230,7 @@ def fit_shared(params: BaseModelParams, name: str, X: np.ndarray,
     return model
 
 
-def inner_error_profile(X, y, ucp=None,
+def inner_error_profile(X, y, ucp,
                         params: BaseModelParams | None = None,
                         memo: dict | None = None,
                         query=None) -> ErrorProfile:
@@ -270,7 +262,7 @@ def inner_error_profile(X, y, ucp=None,
             f"projects, got {n}")
     if memo is not None and query is None:
         raise ValueError("an inner-fit memo needs the outer query row")
-    ucp_arr = np.ones(n) if ucp is None else np.asarray(ucp, dtype=float)
+    ucp = np.asarray(ucp, dtype=float)
     params = params or BaseModelParams()
 
     predictions = {name: np.empty(n) for name in BASE_MODELS}
@@ -303,9 +295,12 @@ def inner_error_profile(X, y, ucp=None,
             if memo is not None:
                 memo[(name, query_keys[i])] = float(at_query[k])
 
-    actual_effort = y * ucp_arr
-    raw = {name: _metric_triple(actual_effort, predictions[name] * ucp_arr)
-           for name in BASE_MODELS}
+    actual = y * ucp
+    raw = {}
+    for name in BASE_MODELS:
+        estimate = predictions[name] * ucp
+        raw[name] = (mae(actual, estimate), mbre(actual, estimate),
+                     mibre(actual, estimate))
     return ErrorProfile(raw=raw, normalized=_normalize_across_models(raw))
 
 
@@ -351,7 +346,7 @@ class EnsembleModel:
                    n_train=data["metadata"]["n_train"])
 
 
-def ensemble_fit(X, y, ucp=None, alpha: float = DEFAULT_ALPHA,
+def ensemble_fit(X, y, ucp, alpha: float = DEFAULT_ALPHA,
                  params: BaseModelParams | None = None,
                  memo: dict | None = None, query=None) -> EnsembleModel:
     """Fit the three base models and weight them by their sigmoid-discounted

@@ -1,7 +1,8 @@
-"""Accuracy metrics, the leave-one-out harness and the full benchmark grid.
+"""The leave-one-out harness and the full benchmark grid.
 
-All metrics are computed on effort (predicted PDR times the test project's
-measured UCP), which is the quantity the benchmark tables report.
+The accuracy metrics (`stats.mae`, `mbre` and `mibre`) are computed on
+effort (predicted PDR times the test project's measured UCP), which is the
+quantity the benchmark tables report.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .locality import (
 from .preprocess import ScalerParams, minmax_apply, minmax_fit
 from .regressors.base import model_from_dict
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
+from .stats import MetricTriple, mae, mbre, mibre
 
 LEARNER_MODELS = ("svr", "stepwise", "cart", "ensemble")
 BASELINE_MODELS = ("karner", "sw")
@@ -52,56 +54,6 @@ _MODEL_MIN_TRAIN = {
     "cart": 1,
     "ensemble": STEPWISE_MIN_TRAIN,
 }
-
-
-def mae(actuals, estimates) -> float:
-    """Mean absolute error."""
-    a, e = _paired(actuals, estimates)
-    return float(np.mean(np.abs(a - e)))
-
-
-def mbre(actuals, estimates) -> float:
-    """Mean balanced relative error: |e - e_hat| / min(e, e_hat)."""
-    a, e = _paired(actuals, estimates)
-    _require_positive(a, e)
-    return float(np.mean(np.abs(a - e) / np.minimum(a, e)))
-
-
-def mibre(actuals, estimates) -> float:
-    """Mean inverse balanced relative error: |e - e_hat| / max(e, e_hat)."""
-    a, e = _paired(actuals, estimates)
-    _require_positive(a, e)
-    return float(np.mean(np.abs(a - e) / np.maximum(a, e)))
-
-
-def _paired(actuals, estimates) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(actuals, dtype=float)
-    e = np.asarray(estimates, dtype=float)
-    if a.size != e.size:
-        raise ValueError(f"length mismatch: {a.size} vs {e.size}")
-    if a.size == 0:
-        raise ValueError("metrics need at least one pair")
-    return a, e
-
-
-def _require_positive(a: np.ndarray, e: np.ndarray) -> None:
-    if a.min() <= 0:
-        raise ValueError("actual efforts must be positive")
-    if e.min() <= 0:
-        raise ValueError("estimates must be positive (apply the PDR floor)")
-
-
-@dataclass(frozen=True)
-class MetricTriple:
-    mae: float
-    mbre: float
-    mibre: float
-
-    @classmethod
-    def compute(cls, actuals, estimates) -> "MetricTriple":
-        return cls(mae=mae(actuals, estimates),
-                   mbre=mbre(actuals, estimates),
-                   mibre=mibre(actuals, estimates))
 
 
 @dataclass(frozen=True)
@@ -163,8 +115,8 @@ class EvaluationReport:
         return len(self.folds)
 
 
-def build_partitioning(training: Dataset, scheme: str, fold_seed: int,
-                       settings: RunSettings) -> Partitioning:
+def build_partitioning(training: Dataset, scheme: str,
+                       fold_seed: int) -> Partitioning:
     """The scheme's partitioning of a training set; k-means picks k up to
     half the training size."""
     if scheme in FACTOR_SCHEMES:
@@ -344,8 +296,7 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
             partitioning = memo.get(key)
             if partitioning is None:
                 partitioning = memo[key] = build_partitioning(
-                    Dataset(training, name=dataset.name), scheme, fold_seed,
-                    settings)
+                    Dataset(training, name=dataset.name), scheme, fold_seed)
         local = fit_local(training, test, model, settings, partitioning, memo)
         pdr = local.pdr(test)
         effort = pdr * test.ucp

@@ -233,26 +233,25 @@ def dunn_index(points: np.ndarray, assignments: np.ndarray,
     return min_gap / max_diameter
 
 
-def select_k(points: np.ndarray, k_min: int, k_max: int,
+def select_k(points: np.ndarray, k_max: int,
              seed: int) -> tuple[int, KMeansResult]:
-    """Run k-means for each k in [k_min, k_max] (fresh derived seed per k,
-    several restarts against bad local optima) and keep the k with the
-    largest Dunn index, ties toward smaller k."""
+    """Run k-means for each k in [KMEANS_K_MIN, k_max] (fresh derived seed
+    per k, several restarts against bad local optima) and keep the k with
+    the largest Dunn index, ties toward smaller k.  k stops at the number
+    of distinct points."""
     points = np.asarray(points, dtype=float)
     n_distinct = np.unique(points, axis=0).shape[0]
-    if n_distinct < 2:
-        raise ValueError("need at least 2 distinct points to cluster")
-    if k_min < 2 or k_max < k_min:
-        raise ValueError(f"invalid k range [{k_min}, {k_max}]")
-    k_max = min(k_max, n_distinct)
-    if k_max < k_min:
+    if n_distinct < KMEANS_K_MIN:
         raise ValueError(
-            f"only {n_distinct} distinct points, cannot use k >= {k_min}")
+            f"need at least {KMEANS_K_MIN} distinct points to cluster")
+    if k_max < KMEANS_K_MIN:
+        raise ValueError(f"invalid k range [{KMEANS_K_MIN}, {k_max}]")
+    k_max = min(k_max, n_distinct)
 
     best_k = None
     best_result = None
     best_index = -float("inf")
-    for k in range(k_min, k_max + 1):
+    for k in range(KMEANS_K_MIN, k_max + 1):
         result = kmeans(points, k, derive_seed(seed, k))
         index = dunn_index(points, result.assignments, result.centroids)
         if index > best_index:
@@ -261,19 +260,17 @@ def select_k(points: np.ndarray, k_min: int, k_max: int,
     return best_k, best_result
 
 
-def partition_by_kmeans(dataset: Dataset, k_min: int = KMEANS_K_MIN,
-                        k_max: int = KMEANS_K_MAX,
+def partition_by_kmeans(dataset: Dataset, k_max: int = KMEANS_K_MAX,
                         seed: int = 0) -> Partitioning:
     """Cluster the dataset on its eight min-max-normalized factor scores and
-    label partitions c0..c(k-1).  A `k_max` below `k_min` is raised to it
-    (the benchmark harness caps k at half the training size)."""
+    label partitions c0..c(k-1).  A `k_max` below `KMEANS_K_MIN` is raised
+    to it (the benchmark harness caps k at half the training size)."""
     if len(dataset) == 0:
         raise ValueError("cannot partition an empty dataset")
     env = dataset.env_matrix()
     scaler = minmax_fit(env)
     normalized = minmax_apply(scaler, env)
-    k_max = max(k_max, k_min)
-    k, result = select_k(normalized, k_min, k_max, seed)
+    k, result = select_k(normalized, max(k_max, KMEANS_K_MIN), seed)
 
     ids = dataset.ids()
     partitions = {

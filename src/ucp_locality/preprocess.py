@@ -13,7 +13,7 @@ from .dataset import Dataset
 
 # Size/effort variables screened for outliers; these are the heavy-tailed
 # columns in this kind of dataset.
-DEFAULT_OUTLIER_FEATURES = ("effort", "ucp", "uaw", "uucw", "pdr")
+OUTLIER_FEATURES = ("effort", "ucp", "uaw", "uucw", "pdr")
 DEFAULT_Z_THRESHOLD = 3.0
 
 
@@ -44,26 +44,26 @@ class OutlierReport:
 
 
 def zscore_outliers(dataset: Dataset,
-                    features: tuple[str, ...] = DEFAULT_OUTLIER_FEATURES,
                     threshold: float = DEFAULT_Z_THRESHOLD) -> OutlierReport:
-    """Flag projects with any feature more than `threshold` sample standard
-    deviations from the feature mean.  Constant features are skipped."""
+    """Flag projects with any of `OUTLIER_FEATURES` more than `threshold`
+    sample standard deviations from the feature mean.  Constant features are
+    skipped; constancy is tested on the values, because the mean of equal
+    values can round away from them and leave a tiny nonzero stdev."""
     if len(dataset) < 3:
         raise ValueError("outlier screening needs at least 3 projects")
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
 
     n = len(dataset)
-    zscores = np.full((n, len(features)), np.nan)
-    for j, feat in enumerate(features):
+    zscores = np.full((n, len(OUTLIER_FEATURES)), np.nan)
+    for j, feat in enumerate(OUTLIER_FEATURES):
         values = dataset.column(feat)
-        std = values.std(ddof=1)
-        if std > 0:
-            zscores[:, j] = (values - values.mean()) / std
+        if values.min() < values.max():
+            zscores[:, j] = (values - values.mean()) / values.std(ddof=1)
     flagged = np.max(np.abs(np.nan_to_num(zscores, nan=0.0)), axis=1) > threshold
     return OutlierReport(
         ids=dataset.ids(),
-        features=tuple(features),
+        features=OUTLIER_FEATURES,
         zscores=zscores,
         flagged=tuple(bool(f) for f in flagged),
         threshold=threshold,
@@ -107,11 +107,10 @@ class ScalerParams:
 
 
 def minmax_fit(values: np.ndarray) -> ScalerParams:
-    """Learn per-feature min/max from a (n, f) training array (or (n,) for a
-    single feature)."""
+    """Learn per-feature min/max from a (n, f) training array."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise ValueError(f"expected a (n, f) array, got {arr.ndim} dimensions")
     if arr.shape[0] < 1:
         raise ValueError("cannot fit a scaler on an empty sample")
     return ScalerParams(
@@ -124,14 +123,10 @@ def minmax_apply(params: ScalerParams, values: np.ndarray) -> np.ndarray:
     """Scale values by (x - min) / (max - min); a degenerate span maps to 0.
     Values outside the fit range extrapolate outside [0, 1].
 
-    A 2-d (m, f) array scales row-wise.  A 1-d array is a column of samples
-    when the scaler has one feature, otherwise a single f-long sample; the
-    output keeps the input's shape.
+    A 2-d (m, f) array scales row-wise and a 1-d array is one f-long
+    sample; the output keeps the input's shape.
     """
-    arr = np.asarray(values, dtype=float)
-    single_sample = arr.ndim == 1 and params.n_features > 1
-    if arr.ndim == 1:
-        arr = arr[None, :] if single_sample else arr[:, None]
+    arr = np.atleast_2d(np.asarray(values, dtype=float))
     if arr.shape[1] != params.n_features:
         raise ValueError(
             f"expected {params.n_features} features, got {arr.shape[1]}")
@@ -140,9 +135,7 @@ def minmax_apply(params: ScalerParams, values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(arr)
     nonzero = spans > 0
     out[:, nonzero] = (arr[:, nonzero] - mins[nonzero]) / spans[nonzero]
-    if np.asarray(values).ndim == 1:
-        return out[0] if single_sample else out[:, 0]
-    return out
+    return out[0] if np.ndim(values) == 1 else out
 
 
 @dataclass(frozen=True)
@@ -150,49 +143,31 @@ class NormalityResult:
     is_normal: bool
     statistic: float
     critical_value: float
-    alpha: float
 
 
-# Critical values for the normality KS test with estimated mean/stdev
-# (Lilliefors).  The modified statistic D * (sqrt(n) - 0.01 + 0.85/sqrt(n))
-# is compared against a constant per significance level (Stephens' table).
-_LILLIEFORS_COEFF = {0.15: 0.775, 0.10: 0.819, 0.05: 0.895,
-                     0.025: 0.995, 0.01: 1.035}
+# Lilliefors' KS test at the 5% level, with Stephens' (1974) critical point:
+# the modified statistic D * (sqrt(n) - 0.01 + 0.85/sqrt(n)) is compared
+# against 0.895.
+_LILLIEFORS_5PCT = 0.895
 
 
-def _lilliefors_critical(n: int, alpha: float) -> float:
-    alphas = sorted(_LILLIEFORS_COEFF)
-    if not alphas[0] <= alpha <= alphas[-1]:
-        raise ValueError(
-            f"alpha must be within [{alphas[0]}, {alphas[-1]}], got {alpha}")
-    if alpha in _LILLIEFORS_COEFF:
-        coeff = _LILLIEFORS_COEFF[alpha]
-    else:
-        hi = min(a for a in alphas if a > alpha)
-        lo = max(a for a in alphas if a < alpha)
-        t = (alpha - lo) / (hi - lo)
-        coeff = (1 - t) * _LILLIEFORS_COEFF[lo] + t * _LILLIEFORS_COEFF[hi]
-    return coeff / (math.sqrt(n) - 0.01 + 0.85 / math.sqrt(n))
-
-
-def normality_check(values: np.ndarray, alpha: float = 0.05) -> NormalityResult:
+def normality_check(values: np.ndarray) -> NormalityResult:
     """One-sample KS test against a normal with the sample's mean and
-    stdev, using Lilliefors-adjusted critical values.
+    stdev, at the 5% level with the Lilliefors-adjusted critical value.
 
-    A constant sample is reported as not normal with statistic 1.
+    A constant sample is reported as not normal with statistic 1; it is
+    found by its values, since their mean can round away from them.
     """
     arr = np.sort(np.asarray(values, dtype=float))
     n = arr.size
     if n < 5:
         raise ValueError(f"normality check needs at least 5 values, got {n}")
-    critical = _lilliefors_critical(n, alpha)
-    std = arr.std(ddof=1)
-    if std == 0:
-        return NormalityResult(False, 1.0, critical, alpha)
-    cdf = ndtr((arr - arr.mean()) / std)
+    critical = _LILLIEFORS_5PCT / (math.sqrt(n) - 0.01 + 0.85 / math.sqrt(n))
+    if arr[0] == arr[-1]:
+        return NormalityResult(False, 1.0, critical)
+    cdf = ndtr((arr - arr.mean()) / arr.std(ddof=1))
     steps = np.arange(1, n + 1) / n
     d_plus = np.max(steps - cdf)
     d_minus = np.max(cdf - (steps - 1.0 / n))
     statistic = float(max(d_plus, d_minus))
-    return NormalityResult(statistic <= critical, statistic, critical, alpha)
-
+    return NormalityResult(statistic <= critical, statistic, critical)

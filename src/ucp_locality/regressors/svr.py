@@ -4,7 +4,7 @@ trained by sequential minimal optimization.
 The dual is solved over 2n box-bounded variables (alpha, alpha*) with the
 single equality constraint sum(alpha - alpha*) = 0.  Pairs are picked by
 maximal violation with second-order selection of the partner, and the
-solver stops when the worst KKT violation drops to `tol`.
+solver stops when the worst KKT violation drops to `TOL`.
 
 `svr_fit_loo` fits every leave-one-out fold of one training set at once:
 the folds run `svr_fit`'s iterations in lockstep over stacked arrays and
@@ -21,8 +21,10 @@ from .base import loo_train_rows
 
 DEFAULT_C = 1.0
 DEFAULT_EPSILON = 0.1
-DEFAULT_TOL = 0.001
-DEFAULT_MAX_ITER = 100_000
+# the SMO stopping rule: the worst KKT violation at most TOL, or MAX_ITER
+# pair steps (read at call time)
+TOL = 0.001
+MAX_ITER = 100_000
 
 _TAU = 1e-12       # curvature floor for coincident points
 _BOUND_SNAP = 1e-12
@@ -116,8 +118,7 @@ def resolve_gamma(X: np.ndarray, gamma: float | None) -> float:
     return 1.0 / (X.shape[1] * mean_var)
 
 
-def _checked(X, y, c: float, epsilon: float,
-             tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _checked(X, y, c: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Training inputs as float arrays, after the checks every fit makes."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -130,13 +131,11 @@ def _checked(X, y, c: float, epsilon: float,
         raise ValueError(f"C must be positive, got {c}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     return X, y
 
 
 def _bias_only(X: np.ndarray, y: np.ndarray, gamma: float | None, c: float,
-               epsilon: float, tol: float) -> SvrModel:
+               epsilon: float) -> SvrModel:
     """The model for identical input rows: the target mean."""
     return SvrModel(
         support_vectors=np.empty((0, X.shape[1])),
@@ -145,7 +144,7 @@ def _bias_only(X: np.ndarray, y: np.ndarray, gamma: float | None, c: float,
         gamma=resolve_gamma(X, gamma) if gamma is not None else 1.0,
         c=c,
         epsilon=epsilon,
-        tol=tol,
+        tol=TOL,
         n_train=y.size,
         n_iter=0,
         converged=True,
@@ -154,7 +153,7 @@ def _bias_only(X: np.ndarray, y: np.ndarray, gamma: float | None, c: float,
 
 def _dual_model(X: np.ndarray, y: np.ndarray, theta: np.ndarray,
                 neg_zg: np.ndarray, gamma: float, c: float, epsilon: float,
-                tol: float, n_iter: int, converged: bool) -> SvrModel:
+                n_iter: int, converged: bool) -> SvrModel:
     """The model for a final dual state: support vectors and coefficients
     from theta, the bias from the final violation bracket."""
     n = y.size
@@ -182,7 +181,7 @@ def _dual_model(X: np.ndarray, y: np.ndarray, theta: np.ndarray,
         gamma=gamma,
         c=c,
         epsilon=epsilon,
-        tol=tol,
+        tol=TOL,
         n_train=n,
         n_iter=n_iter,
         converged=converged,
@@ -190,11 +189,10 @@ def _dual_model(X: np.ndarray, y: np.ndarray, theta: np.ndarray,
 
 
 def svr_fit(X, y, c: float = DEFAULT_C, epsilon: float = DEFAULT_EPSILON,
-            gamma: float | None = None, tol: float = DEFAULT_TOL,
-            max_iter: int = DEFAULT_MAX_ITER) -> SvrModel:
-    X, y = _checked(X, y, c, epsilon, tol)
+            gamma: float | None = None) -> SvrModel:
+    X, y = _checked(X, y, c, epsilon)
     if np.all(X == X[0]):
-        return _bias_only(X, y, gamma, c, epsilon, tol)
+        return _bias_only(X, y, gamma, c, epsilon)
     gamma_val = resolve_gamma(X, gamma)
 
     n = y.size
@@ -216,11 +214,11 @@ def svr_fit(X, y, c: float = DEFAULT_C, epsilon: float = DEFAULT_EPSILON,
 
     n_iter = 0
     converged = False
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         up_vals = np.where(up, neg_zg, -np.inf)
         i = int(up_vals.argmax())
         m = up_vals[i]
-        if m - np.where(low, neg_zg, np.inf).min() <= tol:
+        if m - np.where(low, neg_zg, np.inf).min() <= TOL:
             converged = True
             break
 
@@ -248,14 +246,13 @@ def svr_fit(X, y, c: float = DEFAULT_C, epsilon: float = DEFAULT_EPSILON,
 
         neg_zg -= (k2i - kernel[j % n]) * d
 
-    return _dual_model(X, y, theta, neg_zg, gamma_val, c, epsilon, tol,
-                       n_iter, converged)
+    return _dual_model(X, y, theta, neg_zg, gamma_val, c, epsilon, n_iter,
+                       converged)
 
 
 def svr_fit_loo(X, y, folds, c: float = DEFAULT_C,
-                epsilon: float = DEFAULT_EPSILON, gamma: float | None = None,
-                tol: float = DEFAULT_TOL,
-                max_iter: int = DEFAULT_MAX_ITER) -> list[SvrModel]:
+                epsilon: float = DEFAULT_EPSILON,
+                gamma: float | None = None) -> list[SvrModel]:
     """For each row index i in `folds`, the model that `svr_fit` returns on
     X and y without row i, with the same hyperparameters.
 
@@ -263,9 +260,12 @@ def svr_fit_loo(X, y, folds, c: float = DEFAULT_C,
     `svr_fit`'s pair selection, step, bound snap and mask updates, so each
     model equals its `svr_fit` counterpart bit for bit.  The kernel rows a
     step needs come from one squared-distance matrix of the whole set, so
-    the extra memory is O(n^2) however many folds there are.
+    the extra memory is O(n^2) however many folds there are.  The folds'
+    identical-rows checks and automatic gammas are computed together over
+    the gathered (folds, n - 1, f) training sets, with `resolve_gamma`'s
+    arithmetic per fold.
     """
-    X, y = _checked(X, y, c, epsilon, tol)
+    X, y = _checked(X, y, c, epsilon)
     n = y.size
     folds = [int(i) for i in folds]
     if folds and n < 3:
@@ -274,24 +274,28 @@ def svr_fit_loo(X, y, folds, c: float = DEFAULT_C,
         raise ValueError(f"fold indices must be within 0..{n - 1}")
 
     keep = loo_train_rows(n, folds)
+    Xs = X[keep]
+    identical = np.all(Xs == Xs[:, :1], axis=(1, 2))
+    solved = np.flatnonzero(~identical)
+    if gamma is None:
+        mean_var = Xs.var(axis=1).mean(axis=1)[solved]
+        if np.any(mean_var <= 0):
+            raise ValueError("gamma=auto undefined for constant inputs")
+        gammas = 1.0 / (X.shape[1] * mean_var)
+    else:
+        gammas = np.full(solved.size, resolve_gamma(X, gamma))
+    del Xs
     models: list[SvrModel | None] = [None] * len(folds)
-    solved, gammas = [], []
-    for f, train in enumerate(keep):
-        X_f = X[train]
-        if np.all(X_f == X_f[0]):
-            models[f] = _bias_only(X_f, y[train], gamma, c, epsilon, tol)
-        else:
-            solved.append(f)
-            gammas.append(resolve_gamma(X_f, gamma))
-    if solved:
+    for f in np.flatnonzero(identical):
+        models[f] = _bias_only(X[keep[f]], y[keep[f]], gamma, c, epsilon)
+    if solved.size:
         rows = keep[solved]
         theta, neg_zg, n_iter, converged = _smo_lockstep(
-            _sq_distances(X), rows, y[rows], np.array(gammas), c, epsilon,
-            tol, max_iter)
+            _sq_distances(X), rows, y[rows], gammas, c, epsilon)
         for s, f in enumerate(solved):
             models[f] = _dual_model(
-                X[rows[s]], y[rows[s]], theta[s], neg_zg[s], gammas[s], c,
-                epsilon, tol, int(n_iter[s]), bool(converged[s]))
+                X[rows[s]], y[rows[s]], theta[s], neg_zg[s], float(gammas[s]),
+                c, epsilon, int(n_iter[s]), bool(converged[s]))
     return models
 
 
@@ -317,8 +321,7 @@ def _snap_and_mark(theta: np.ndarray, up: np.ndarray, low: np.ndarray,
 
 
 def _smo_lockstep(d2: np.ndarray, rows: np.ndarray, y_rows: np.ndarray,
-                  gammas: np.ndarray, c: float, epsilon: float, tol: float,
-                  max_iter: int):
+                  gammas: np.ndarray, c: float, epsilon: float):
     """`svr_fit`'s SMO loop for several problems at once.  Problem p trains
     on rows[p] of the set whose clipped squared distances are d2, with
     targets y_rows[p] and width gammas[p].  A problem leaves the stack when
@@ -327,7 +330,7 @@ def _smo_lockstep(d2: np.ndarray, rows: np.ndarray, y_rows: np.ndarray,
     problems, m = rows.shape
     theta_out = np.empty((problems, 2 * m))
     zg_out = np.empty((problems, 2 * m))
-    n_iter = np.full(problems, max(max_iter, 0))
+    n_iter = np.full(problems, MAX_ITER)
     converged = np.zeros(problems, dtype=bool)
 
     ids = np.arange(problems)
@@ -337,12 +340,12 @@ def _smo_lockstep(d2: np.ndarray, rows: np.ndarray, y_rows: np.ndarray,
     up = np.zeros((problems, 2 * m), dtype=bool)
     up[:, :m] = True
     low = ~up
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         r = np.arange(ids.size)
         up_vals = np.where(up, neg_zg, -np.inf)
         i = up_vals.argmax(axis=1)
         top = up_vals[r, i]
-        done = top - np.where(low, neg_zg, np.inf).min(axis=1) <= tol
+        done = top - np.where(low, neg_zg, np.inf).min(axis=1) <= TOL
 
         k_i = _kernel_at(d2, rows, neg_gamma, i)
         quad = np.maximum(2.0 * (1.0 - k_i), _TAU)

@@ -1,5 +1,5 @@
 """Descriptive statistics, rank correlation and confidence-interval data for
-the per-factor productivity analysis."""
+the per-factor productivity analysis, and the effort accuracy metrics."""
 
 from __future__ import annotations
 
@@ -150,3 +150,53 @@ def level_counts(dataset: Dataset, factor_index: int) -> tuple[int, ...]:
     for p in dataset:
         counts[p.factor(factor_index)] += 1
     return tuple(counts)
+
+
+def mae(actuals, estimates) -> float:
+    """Mean absolute error."""
+    a, e = _paired(actuals, estimates)
+    return float(np.mean(np.abs(a - e)))
+
+
+def mbre(actuals, estimates) -> float:
+    """Mean balanced relative error: |e - e_hat| / min(e, e_hat)."""
+    a, e = _paired(actuals, estimates)
+    _require_positive(a, e)
+    return float(np.mean(np.abs(a - e) / np.minimum(a, e)))
+
+
+def mibre(actuals, estimates) -> float:
+    """Mean inverse balanced relative error: |e - e_hat| / max(e, e_hat)."""
+    a, e = _paired(actuals, estimates)
+    _require_positive(a, e)
+    return float(np.mean(np.abs(a - e) / np.maximum(a, e)))
+
+
+def _paired(actuals, estimates) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(actuals, dtype=float)
+    e = np.asarray(estimates, dtype=float)
+    if a.size != e.size:
+        raise ValueError(f"length mismatch: {a.size} vs {e.size}")
+    if a.size == 0:
+        raise ValueError("metrics need at least one pair")
+    return a, e
+
+
+def _require_positive(a: np.ndarray, e: np.ndarray) -> None:
+    if a.min() <= 0:
+        raise ValueError("actual efforts must be positive")
+    if e.min() <= 0:
+        raise ValueError("estimates must be positive (apply the PDR floor)")
+
+
+@dataclass(frozen=True)
+class MetricTriple:
+    mae: float
+    mbre: float
+    mibre: float
+
+    @classmethod
+    def compute(cls, actuals, estimates) -> "MetricTriple":
+        return cls(mae=mae(actuals, estimates),
+                   mbre=mbre(actuals, estimates),
+                   mibre=mibre(actuals, estimates))

@@ -293,7 +293,7 @@ def test_criterion_09_select_k_oracle():
         pts = np.vstack([rng.normal(c, 0.03, (per_blob, 8)) for c in centers])
         k_max = min(10, np.unique(pts, axis=0).shape[0])
 
-        k_star, _ = select_k(pts, 2, 10, seed=trial)
+        k_star, _ = select_k(pts, 10, seed=trial)
         assert k_star == planted
 
         best_k, best_index = None, -np.inf

@@ -201,7 +201,7 @@ class TestInnerErrorProfile:
 
     def test_stepwise_fallback_fold_scores_the_training_mean(self):
         X, y = stepwise_fallback_set()
-        profile = inner_error_profile(X, y)
+        profile = inner_error_profile(X, y, np.ones(12))
         assert profile == per_fold_profile(X, y, np.ones(12),
                                            BaseModelParams())
 
@@ -319,10 +319,10 @@ def per_fold_profile(X, y, ucp, params):
     through `fit_one`, with no memo and no stacked SVR solve."""
     from ucp_locality.ensemble import (
         ErrorProfile,
-        _metric_triple,
         _normalize_across_models,
         predict_or_fallback,
     )
+    from ucp_locality.stats import mae, mbre, mibre
 
     n = y.size
     raw = {}
@@ -334,7 +334,9 @@ def per_fold_profile(X, y, ucp, params):
             model = params.fit_one(name, X[keep], y[keep])
             pred = predict_or_fallback(model, X[i], float(y[keep].mean()))
             preds[i] = max(pred, PDR_FLOOR)
-        raw[name] = _metric_triple(y * ucp, preds * ucp)
+        actual, estimate = y * ucp, preds * ucp
+        raw[name] = (mae(actual, estimate), mbre(actual, estimate),
+                     mibre(actual, estimate))
     return ErrorProfile(raw=raw, normalized=_normalize_across_models(raw))
 
 

@@ -167,7 +167,7 @@ class TestFitLocal:
     def test_baselines_ignore_the_partitioning(self, data20):
         test, *training = data20
         partitioning = build_partitioning(
-            Dataset(tuple(training)), "e3", 1, RunSettings())
+            Dataset(tuple(training)), "e3", 1)
         for model in ("karner", "sw"):
             local = fit_local(training, test, model, RunSettings(),
                               partitioning)
@@ -177,7 +177,7 @@ class TestFitLocal:
     def test_artifact_predicts_the_same(self, data20):
         test, *training = data20
         partitioning = build_partitioning(
-            Dataset(tuple(training)), "kmeans", 1, RunSettings())
+            Dataset(tuple(training)), "kmeans", 1)
         for model in ALL_MODELS:
             local = fit_local(training, test, model, RunSettings(),
                               partitioning)

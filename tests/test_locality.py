@@ -267,19 +267,19 @@ class TestSelectK:
         # n must exceed k_max or the all-singleton clustering (Dunn = inf)
         # legitimately wins; the harness caps k at n/2 for the same reason
         pts = blob_instance(rng, [np.zeros(8), np.ones(8)], 6)
-        k, _ = select_k(pts, 2, 10, seed=11)
+        k, _ = select_k(pts, 10, seed=11)
         assert k == 2
 
     def test_three_blobs(self, rng):
         centers = [np.zeros(8), np.ones(8), np.full(8, 2.0)]
         pts = blob_instance(rng, centers, 4)
-        k, _ = select_k(pts, 2, 10, seed=11)
+        k, _ = select_k(pts, 10, seed=11)
         assert k == 3
 
     def test_identical_points_rejected(self):
         pts = np.zeros((5, 8))
         with pytest.raises(ValueError):
-            select_k(pts, 2, 10, seed=1)
+            select_k(pts, 10, seed=1)
 
     def test_one_kmeans_call_per_k(self, rng, monkeypatch):
         calls = []
@@ -291,13 +291,13 @@ class TestSelectK:
 
         monkeypatch.setattr(locality, "kmeans", counting_kmeans)
         pts = blob_instance(rng, [np.zeros(8), np.ones(8)], 6)
-        select_k(pts, 2, 10, seed=11)
+        select_k(pts, 10, seed=11)
         assert calls == list(range(2, 11))
 
     def test_matches_exhaustive_evaluation(self, rng):
         for trial in range(10):
             pts = blob_instance(rng, [np.zeros(8), np.ones(8)], 5)
-            k_star, result = select_k(pts, 2, 6, seed=trial)
+            k_star, result = select_k(pts, 6, seed=trial)
 
             best_k, best_index = None, -np.inf
             for k in range(2, min(6, np.unique(pts, axis=0).shape[0]) + 1):
