@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import N_FACTORS, validate_factor_score
 from .regressors.cart import cart_fit, cart_fit_loo
-from .regressors.base import loo_train_rows
+from .regressors.base import loo_folds, loo_train_rows
 from .regressors.stepwise import ALPHA_REMOVE as STEPWISE_ALPHA
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
 from .regressors.stepwise import stepwise_fit, stepwise_fit_loo
@@ -25,6 +25,8 @@ from .stats import mae, mbre, mibre
 DEFAULT_ALPHA = 15.0
 PDR_FLOOR = 0.01
 BASE_MODELS = ("svr", "stepwise", "cart")
+# most distinct inner leave-one-out problems one `fit_loo` call solves
+MAX_STACK = 128
 
 KARNER_PDR = 20.0
 SW_LEVELS = (20.0, 28.0, 36.0)
@@ -111,12 +113,12 @@ class BaseModelParams:
                             max_depth=self.cart_max_depth)
         raise ValueError(f"unknown base model {kind!r}")
 
-    def fit_loo(self, kind: str, X: np.ndarray, y: np.ndarray, folds,
-                query=None):
+    def fit_loo(self, kind: str, X, y, folds, sets=None, points=None,
+                at=None) -> np.ndarray:
         """For each row index i in `folds`, what `fit_one(kind, ...)` on X
-        and y without row i predicts at X[i] and at `query`.  Returns
-        (held_out, at_query), one value per fold each; at_query is None
-        without a query.
+        and y without row i predicts at X[i].  `sets` stacks equal-size
+        training sets, as in `svr_fit_loo`; with `points`, the predictions
+        are at points[j] instead, each by the model of fold at[j].
 
         The folds are solved together: SVR folds by `svr_fit_loo`, CART
         folds by `cart_fit_loo` and stepwise folds by `stepwise_fit_loo`.
@@ -125,33 +127,30 @@ class BaseModelParams:
         there.
         """
         if kind == "cart":
-            return cart_fit_loo(X, y, folds, query,
+            return cart_fit_loo(X, y, folds, sets, points, at,
                                 min_split=self.cart_min_split,
                                 min_leaf=self.cart_min_leaf,
                                 max_depth=self.cart_max_depth)
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        folds = [int(i) for i in folds]
+        X, y, sets, folds = loo_folds(X, y, folds, sets)
         if kind == "svr":
             predictors = [model.predict for model in svr_fit_loo(
                 X, y, folds, c=self.svr_c, epsilon=self.svr_epsilon,
-                gamma=self.svr_gamma)]
+                gamma=self.svr_gamma, sets=sets)]
         elif kind == "stepwise":
             # each fold's training mean; a C-contiguous row's mean equals
             # the 1-d mean bit for bit
-            means = y[loo_train_rows(y.size, folds)].mean(axis=1)
+            means = y[sets[:, None], loo_train_rows(y.shape[1], folds)].mean(
+                axis=1)
             predictors = [partial(predict_or_fallback, model, fallback=mean)
-                          for model, mean in zip(stepwise_fit_loo(X, y, folds),
-                                                 means.tolist())]
+                          for model, mean in zip(
+                              stepwise_fit_loo(X, y, folds, sets),
+                              means.tolist())]
         else:
             raise ValueError(f"unknown base model {kind!r}")
-        held_out = np.empty(len(folds))
-        at_query = None if query is None else np.empty(len(folds))
-        for k, (i, predict) in enumerate(zip(folds, predictors)):
-            held_out[k] = predict(X[i])
-            if query is not None:
-                at_query[k] = predict(query)
-        return held_out, at_query
+        if points is None:
+            points, at = X[sets, folds], range(folds.size)
+        return np.array([predictors[k](x) for k, x in zip(at, points)],
+                        dtype=float)
 
     def to_dict(self) -> dict:
         return {
@@ -187,10 +186,10 @@ def predict_or_fallback(model, x, fallback: float) -> float:
 
     Only inner leave-one-out stepwise folds (`BaseModelParams.fit_loo`) can
     need it: with the local set's minimum left out, a column can be all
-    positive and get log-scaled, and the held-out row or the outer query
-    can then sit at or below 0.  An outer fit is on a local set min-max
-    scaled on itself, where every column's minimum is 0, so its stepwise
-    model has no log-scaled feature.
+    positive and get log-scaled, and the held-out row can then sit at or
+    below 0.  An outer fit is on a local set min-max scaled on itself,
+    where every column's minimum is 0, so its stepwise model has no
+    log-scaled feature.
     """
     try:
         return float(model.predict(x))
@@ -209,13 +208,6 @@ def _normalize_across_models(raw: dict[str, tuple[float, float, float]]) -> dict
     return {name: tuple(v) for name, v in normalized.items()}
 
 
-def _memo_key(train_digest, row) -> bytes:
-    """Digest of an inner fit's training rows extended by one query row."""
-    h = train_digest.copy()
-    h.update(np.asarray(row, dtype=float).tobytes())
-    return h.digest()
-
-
 def fit_shared(params: BaseModelParams, name: str, X: np.ndarray,
                y: np.ndarray, memo: dict | None):
     """`params.fit_one(name, X, y)`, shared by a single learner's and the
@@ -230,78 +222,77 @@ def fit_shared(params: BaseModelParams, name: str, X: np.ndarray,
     return model
 
 
-def inner_error_profile(X, y, ucp,
-                        params: BaseModelParams | None = None,
-                        memo: dict | None = None,
-                        query=None) -> ErrorProfile:
-    """Leave-one-out inside the training set for each base model, scoring
-    effort predictions (predicted PDR times the held-out project's UCP).
+def inner_error_profile(local_sets,
+                        params: BaseModelParams | None = None
+                        ) -> list[ErrorProfile]:
+    """Leave-one-out inside each local set (X, y, ucp) for each base model,
+    scoring effort predictions (predicted PDR times the held-out project's
+    UCP); one profile per set.
 
-    `memo` lets the outer folds of one leave-one-out run share inner fits.
-    Outer fold a / inner b trains on the same rows as outer b / inner a
-    whenever both local sets and scalers agree, so each inner fit also
-    predicts `query` (the outer held-out row, scaled like X) and stores that
-    prediction under a digest of its exact training rows and query row.  An
-    inner fold whose training rows and held-out row match a stored entry
-    takes that prediction instead of refitting; the entry is then dropped.
-    Fits are deterministic, so results equal those without a memo.
-
-    One pass takes what the memo holds; the folds left are then solved
-    together by one `params.fit_loo` call per base model (SVR, stepwise and
-    CART folds are each fit in lockstep, never one fold at a time), which
-    predicts at `query` only when there is a memo to store it in.  A
-    stepwise fold that cannot evaluate its held-out row predicts its
-    training mean there; no other learner or fit needs that fallback.
+    The inner problems of all sets are solved together.  Each (set,
+    held-out row) problem is keyed by a digest of its training rows, and
+    each learner fits one model per distinct key, which predicts at the
+    held-out row of every problem with that key.  Across the outer folds of
+    one leave-one-out run, outer fold a / inner b trains on the same rows as
+    outer b / inner a whenever both local sets and scalers agree.  The
+    distinct problems are grouped by training size and solved by one
+    `params.fit_loo` call per base model and stack of at most `MAX_STACK`
+    problems (SVR, stepwise and CART folds are each fit in lockstep, never
+    one fold at a time).  Every fit is the same whatever it is stacked
+    with, so each profile equals that of its set alone.  A stepwise fold
+    that cannot evaluate its held-out row predicts its training mean there;
+    no other learner or fit needs that fallback.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    if n < STEPWISE_MIN_TRAIN + 1:
-        raise ValueError(
-            f"inner validation needs at least {STEPWISE_MIN_TRAIN + 1} "
-            f"projects, got {n}")
-    if memo is not None and query is None:
-        raise ValueError("an inner-fit memo needs the outer query row")
-    ucp = np.asarray(ucp, dtype=float)
     params = params or BaseModelParams()
+    local_sets = [tuple(np.asarray(a, dtype=float) for a in local)
+                  for local in local_sets]
+    by_size: dict[int, list[int]] = {}
+    for s, (_, y, _) in enumerate(local_sets):
+        if y.size < STEPWISE_MIN_TRAIN + 1:
+            raise ValueError(
+                f"inner validation needs at least {STEPWISE_MIN_TRAIN + 1} "
+                f"projects, got {y.size}")
+        by_size.setdefault(y.size, []).append(s)
 
-    predictions = {name: np.empty(n) for name in BASE_MODELS}
-    if memo is None:
-        to_fit = {name: range(n) for name in BASE_MODELS}
-    else:
-        to_fit = {name: [] for name in BASE_MODELS}
-        query_keys = [None] * n
-        keep = np.ones(n, dtype=bool)
-        for i in range(n):
-            keep[i] = False
-            train_digest = hashlib.blake2b(
-                X[keep].tobytes() + y[keep].tobytes(), digest_size=16)
-            held_out_key = _memo_key(train_digest, X[i])
-            query_keys[i] = _memo_key(train_digest, query)
+    predictions = [None] * len(local_sets)
+    for n, members in by_size.items():
+        X = np.stack([local_sets[s][0] for s in members])
+        y = np.stack([local_sets[s][1] for s in members])
+        # problem p leaves row rows[p] out of set sets[p]; owner[p] numbers
+        # its training rows' digest in order of first appearance
+        sets = np.repeat(np.arange(len(members)), n)
+        rows = np.tile(np.arange(n), len(members))
+        train = loo_train_rows(n, range(n))
+        digests: dict[bytes, int] = {}
+        owner = np.array([
+            digests.setdefault(hashlib.blake2b(
+                X_t.tobytes() + y_t.tobytes(), digest_size=16).digest(),
+                len(digests))
+            for X_k, y_k in zip(X, y)
+            for X_t, y_t in zip(X_k[train], y_k[train])])
+        first = np.unique(owner, return_index=True)[1]
+        group = {name: np.empty((len(members), n)) for name in BASE_MODELS}
+        for lo in range(0, first.size, MAX_STACK):
+            fit = first[lo:lo + MAX_STACK]
+            ask = np.flatnonzero((owner >= lo) & (owner < lo + MAX_STACK))
             for name in BASE_MODELS:
-                pred = memo.pop((name, held_out_key), None)
-                if pred is None:
-                    to_fit[name].append(i)
-                else:
-                    predictions[name][i] = max(pred, PDR_FLOOR)
-            keep[i] = True
+                pred = params.fit_loo(name, X, y, rows[fit], sets[fit],
+                                      X[sets[ask], rows[ask]], owner[ask] - lo)
+                group[name][sets[ask], rows[ask]] = np.maximum(pred, PDR_FLOOR)
+        for k, s in enumerate(members):
+            predictions[s] = {name: group[name][k] for name in BASE_MODELS}
 
-    for name in BASE_MODELS:
-        folds = to_fit[name]
-        held_out, at_query = params.fit_loo(
-            name, X, y, folds, None if memo is None else query)
-        for k, i in enumerate(folds):
-            predictions[name][i] = max(float(held_out[k]), PDR_FLOOR)
-            if memo is not None:
-                memo[(name, query_keys[i])] = float(at_query[k])
-
-    actual = y * ucp
-    raw = {}
-    for name in BASE_MODELS:
-        estimate = predictions[name] * ucp
-        raw[name] = (mae(actual, estimate), mbre(actual, estimate),
-                     mibre(actual, estimate))
-    return ErrorProfile(raw=raw, normalized=_normalize_across_models(raw))
+    profiles = []
+    for (_, y, ucp), predicted in zip(local_sets, predictions):
+        actual = y * ucp
+        raw = {}
+        for name in BASE_MODELS:
+            estimate = predicted[name] * ucp
+            raw[name] = (mae(actual, estimate), mbre(actual, estimate),
+                         mibre(actual, estimate))
+        profiles.append(ErrorProfile(raw=raw,
+                                     normalized=_normalize_across_models(raw)))
+    return profiles
 
 
 @dataclass(frozen=True)
@@ -348,13 +339,14 @@ class EnsembleModel:
 
 def ensemble_fit(X, y, ucp, alpha: float = DEFAULT_ALPHA,
                  params: BaseModelParams | None = None,
-                 memo: dict | None = None, query=None) -> EnsembleModel:
+                 profile: ErrorProfile | None = None,
+                 models: dict | None = None) -> EnsembleModel:
     """Fit the three base models and weight them by their sigmoid-discounted
     inner-validation errors.  Training sets too small for inner validation
-    fall back to equal weights.  `memo` and `query` pass through to
-    `inner_error_profile`, whose inner CART folds grow only the paths they
-    predict along; the three final models are full fits, shared through
-    `fit_shared`."""
+    fall back to equal weights.  `profile` is the set's
+    `inner_error_profile` and `models` its three base models (the harness
+    gets them through `fit_shared`); either is computed here when not
+    given."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     params = params or BaseModelParams()
@@ -364,14 +356,12 @@ def ensemble_fit(X, y, ucp, alpha: float = DEFAULT_ALPHA,
         raise ValueError(
             f"ensemble needs at least {STEPWISE_MIN_TRAIN} projects, got {y.size}")
 
-    profile: ErrorProfile | None
-    if y.size >= STEPWISE_MIN_TRAIN + 1:
-        profile = inner_error_profile(X, y, ucp, params, memo=memo,
-                                      query=query)
-        normalized = profile.normalized
-    else:
-        profile = None
+    if profile is None and y.size >= STEPWISE_MIN_TRAIN + 1:
+        profile = inner_error_profile([(X, y, ucp)], params)[0]
+    if profile is None:
         normalized = {name: (0.0, 0.0, 0.0) for name in BASE_MODELS}
+    else:
+        normalized = profile.normalized
 
     means = [float(np.mean([normalized[name][m] for name in BASE_MODELS]))
              for m in range(3)]
@@ -381,8 +371,7 @@ def ensemble_fit(X, y, ucp, alpha: float = DEFAULT_ALPHA,
                       for m in range(3)]
         weights[name] = WeightBreakdown(*per_metric, combine_weights(*per_metric))
 
-    models = {name: fit_shared(params, name, X, y, memo)
-              for name in BASE_MODELS}
+    if models is None:
+        models = {name: params.fit_one(name, X, y) for name in BASE_MODELS}
     return EnsembleModel(models=models, weights=weights, alpha=alpha,
                          n_train=y.size, profile=profile)
-

@@ -13,12 +13,14 @@ import numpy as np
 
 from .dataset import Dataset, Project
 from .ensemble import (
+    BASE_MODELS,
     BaseModelParams,
     KARNER_PDR,
     PDR_FLOOR,
     WeightBreakdown,
     ensemble_fit,
     fit_shared,
+    inner_error_profile,
     sw_productivity,
 )
 from .locality import (
@@ -209,20 +211,12 @@ class LocalModel:
             raise ValueError(f"malformed model file: {exc}") from None
 
 
-def fit_local(training, test: Project, model: str, settings: RunSettings,
-              partitioning: Partitioning | None = None,
-              memo: dict | None = None) -> LocalModel:
-    """Fit `model` on the test project's local set of `training`.
-
-    With a partitioning, a learner's local set is the partition `assign`
-    puts the test project in.  A missing partition, or one smaller than
-    `local_minimum`, falls back to the full training set, with the reason.
-    The baselines fit nothing and ignore locality.  The scaler is fit on
-    the local set only; `memo` shares fits between the harness's folds and
-    cells (see `loocv_run`).
-    """
-    if model not in ALL_MODELS:
-        raise ValueError(f"unknown model {model!r}")
+def _local_set(training, test: Project, model: str, settings: RunSettings,
+               partitioning: Partitioning | None):
+    """The test project's local set of `training` for `model`: the
+    `LocalModel` fields and, for a learner, the min-max scaler fit on the
+    set with the set's scaled features, PDRs and UCPs (None for a
+    baseline)."""
     local = list(training)
     label = fallback = None
     if partitioning is not None and model not in BASELINE_MODELS:
@@ -241,21 +235,54 @@ def fit_local(training, test: Project, model: str, settings: RunSettings,
                   local_size=len(local), local_ids=tuple(p.id for p in local),
                   seed=settings.seed)
     if model in BASELINE_MODELS:
-        return LocalModel(**fields, scaler=None, model=None)
-
+        return fields, None
     features = np.array([p.size_features() for p in local])
-    targets = np.array([p.pdr for p in local])
     scaler = minmax_fit(features)
-    X = minmax_apply(scaler, features)
+    return fields, (scaler, minmax_apply(scaler, features),
+                    np.array([p.pdr for p in local]),
+                    np.array([p.ucp for p in local]))
+
+
+def _fit_ensembles(local_sets, settings: RunSettings,
+                   memo: dict | None) -> list[LocalModel]:
+    """The ensemble fit on each local set of `_local_set`: one
+    `inner_error_profile` call over every set large enough for inner
+    validation, then one `ensemble_fit` per set with its profile and its
+    base models shared through `fit_shared`."""
+    params = settings.base_params
+    profiles = iter(inner_error_profile(
+        [(X, y, ucp) for _, (_, X, y, ucp) in local_sets
+         if y.size > STEPWISE_MIN_TRAIN], params))
+    return [LocalModel(**fields, scaler=scaler, model=ensemble_fit(
+                X, y, ucp, alpha=settings.ensemble_alpha, params=params,
+                profile=next(profiles) if y.size > STEPWISE_MIN_TRAIN else None,
+                models={name: fit_shared(params, name, X, y, memo)
+                        for name in BASE_MODELS}))
+            for fields, (scaler, X, y, ucp) in local_sets]
+
+
+def fit_local(training, test: Project, model: str, settings: RunSettings,
+              partitioning: Partitioning | None = None,
+              memo: dict | None = None) -> LocalModel:
+    """Fit `model` on the test project's local set of `training`.
+
+    With a partitioning, a learner's local set is the partition `assign`
+    puts the test project in.  A missing partition, or one smaller than
+    `local_minimum`, falls back to the full training set, with the reason.
+    The baselines fit nothing and ignore locality.  The scaler is fit on
+    the local set only; `memo` shares fits between the harness's cells
+    (see `loocv_run`).
+    """
+    if model not in ALL_MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    fields, data = _local_set(training, test, model, settings, partitioning)
+    if data is None:
+        return LocalModel(**fields, scaler=None, model=None)
     if model == "ensemble":
-        fitted = ensemble_fit(
-            X, targets, np.array([p.ucp for p in local]),
-            alpha=settings.ensemble_alpha, params=settings.base_params,
-            memo=memo,
-            query=minmax_apply(scaler, np.array(test.size_features())))
-        return LocalModel(**fields, scaler=scaler, model=fitted)
-    fitted = fit_shared(settings.base_params, model, X, targets, memo)
-    return LocalModel(**fields, scaler=scaler, model=fitted)
+        return _fit_ensembles([(fields, data)], settings, memo)[0]
+    scaler, X, y, _ = data
+    return LocalModel(**fields, scaler=scaler, model=fit_shared(
+        settings.base_params, model, X, y, memo))
 
 
 def loocv_run(dataset: Dataset, scheme: str, model: str,
@@ -266,14 +293,16 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
     Per fold: the partitioning, the feature scaler and the model fit all see
     only the training projects.  A local set smaller than the minimum (or a
     missing partition label) falls back to the full training set, flagged.
+    An ensemble cell builds every fold's local set first and computes all
+    their inner leave-one-out profiles in one `inner_error_profile` call,
+    which solves an inner fit shared by several folds once.
 
     `memo` carries work between folds and between runs: each fold's
-    partitioning, keyed on the scheme, fold seed and training projects;
-    each base-learner fit on a local set (see `fit_shared`); and the
-    ensemble's inner-fit predictions (see `inner_error_profile`).  Keys
-    hold their inputs exactly, so any runs whose settings agree on
-    `base_params` can share a memo and get the reports fresh memos give.
-    Without one, the run uses its own.
+    partitioning, keyed on the scheme, fold seed and training projects, and
+    each base-learner fit on a local set (see `fit_shared`).  Keys hold
+    their inputs exactly, so any runs whose settings agree on `base_params`
+    can share a memo and get the reports fresh memos give.  Without one,
+    the run uses its own.
     """
     settings = settings or RunSettings()
     if scheme != SCHEME_NONE and scheme not in ALL_SCHEMES:
@@ -286,7 +315,7 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
 
     uses_locality = scheme != SCHEME_NONE and model not in BASELINE_MODELS
     memo = {} if memo is None else memo
-    folds = []
+    runs = []
     for fold_index, test in enumerate(dataset):
         training = tuple(p for p in dataset if p.id != test.id)
         partitioning = None
@@ -297,7 +326,18 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
             if partitioning is None:
                 partitioning = memo[key] = build_partitioning(
                     Dataset(training, name=dataset.name), scheme, fold_seed)
-        local = fit_local(training, test, model, settings, partitioning, memo)
+        runs.append((training, test, partitioning))
+    if model == "ensemble":
+        local_models = _fit_ensembles(
+            [_local_set(training, test, model, settings, partitioning)
+             for training, test, partitioning in runs], settings, memo)
+    else:
+        local_models = [fit_local(training, test, model, settings,
+                                  partitioning, memo)
+                        for training, test, partitioning in runs]
+
+    folds = []
+    for (_, test, partitioning), local in zip(runs, local_models):
         pdr = local.pdr(test)
         effort = pdr * test.ucp
         folds.append(FoldTrace(

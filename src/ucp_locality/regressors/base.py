@@ -1,4 +1,4 @@
-"""Shared model serialization and leave-one-out fold rows.  Every fitted
+"""Shared model serialization and leave-one-out folds.  Every fitted
 model serializes to a JSON document {"kind": ..., "params": ...,
 "metadata": ...} and deserializes through model_from_dict."""
 
@@ -12,6 +12,40 @@ def loo_train_rows(n: int, folds) -> np.ndarray:
     index i in `folds`: 0..n-1 without i, in order."""
     rows = np.arange(n - 1)
     return rows + (rows >= np.asarray(folds, dtype=int).reshape(-1, 1))
+
+
+def training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X (n, f) and y (n,) as float arrays; other shapes raise."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] != y.size:
+        raise ValueError("X must be (n, f) with one target per row")
+    return X, y
+
+
+def loo_folds(X, y, folds, sets=None):
+    """Leave-one-out folds over a stack of equal-size training sets, as
+    (X, y, sets, rows): X (sets, n, f) and y (sets, n) as float arrays,
+    and per fold k the set sets[k] it trains on without row rows[k].
+    Without `sets`, X (n, f) and y (n,) are one set and `folds` are its
+    row indices."""
+    rows = np.array([int(i) for i in folds], dtype=int)
+    if sets is None:
+        X, y = training_arrays(X, y)
+        X, y, sets = X[None], y[None], np.zeros(rows.size, dtype=int)
+    else:
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        sets = np.asarray(sets, dtype=int)
+        if X.ndim != 3 or X.shape[:2] != y.shape or sets.shape != rows.shape:
+            raise ValueError("X must be (sets, n, f) with one target per row "
+                             "and one set per fold")
+        if np.any((sets < 0) | (sets >= X.shape[0])):
+            raise ValueError(f"set indices must be within 0..{X.shape[0] - 1}")
+    n = y.shape[1]
+    if np.any((rows < 0) | (rows >= n)):
+        raise ValueError(f"fold indices must be within 0..{n - 1}")
+    return X, y, sets, rows
 
 
 def model_from_dict(data: dict):

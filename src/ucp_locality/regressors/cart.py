@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import loo_folds, training_arrays
+
 DEFAULT_MIN_SPLIT = 8
 DEFAULT_MIN_LEAF = 4
 DEFAULT_MAX_DEPTH = 6
@@ -154,22 +156,17 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, min_split: int,
     )
 
 
-def _checked(X, y, min_split: int, min_leaf: int,
-             max_depth: int) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.size:
-        raise ValueError("X must be (n, f) with one target per row")
+def _check_limits(min_split: int, min_leaf: int, max_depth: int) -> None:
     if min_leaf < 1 or min_split < 2 or max_depth < 0:
         raise ValueError("invalid tree limits")
-    return X, y
 
 
 def cart_fit(X, y, min_split: int = DEFAULT_MIN_SPLIT,
              min_leaf: int = DEFAULT_MIN_LEAF,
              max_depth: int = DEFAULT_MAX_DEPTH) -> CartModel:
     """Grow a regression tree; leaves predict their members' mean target."""
-    X, y = _checked(X, y, min_split, min_leaf, max_depth)
+    X, y = training_arrays(X, y)
+    _check_limits(min_split, min_leaf, max_depth)
     if y.size == 0:
         raise ValueError("cannot fit a tree on an empty training set")
     root = _grow(X, y, 0, min_split, min_leaf, max_depth)
@@ -177,37 +174,39 @@ def cart_fit(X, y, min_split: int = DEFAULT_MIN_SPLIT,
                      min_leaf=min_leaf, max_depth=max_depth)
 
 
-def cart_fit_loo(X, y, folds, query=None, min_split: int = DEFAULT_MIN_SPLIT,
+def cart_fit_loo(X, y, folds, sets=None, points=None, at=None,
+                 min_split: int = DEFAULT_MIN_SPLIT,
                  min_leaf: int = DEFAULT_MIN_LEAF,
-                 max_depth: int = DEFAULT_MAX_DEPTH):
-    """For each row index i in `folds`, the predictions that `cart_fit` on X
-    and y without row i, with the same limits, makes at X[i] and at
-    `query`.  Returns (held_out, at_query), one value per fold each;
-    at_query is None without a query.
+                 max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
+    """For each row index i in `folds`, the prediction that `cart_fit` on
+    X and y without row i, with the same limits, makes at X[i].  With
+    `sets`, X (sets, n, f) and y (sets, n) stack equal-size training sets,
+    and fold k leaves row folds[k] out of set sets[k].  With `points`, the
+    predictions are at points[j] instead, each by the tree of fold at[j].
 
     The folds' trees grow together, level by level, and only along the
     nodes those points reach.  At each level the nodes that need a split
     search are stacked by row count, one `_best_split` call per count.  A
-    node's rows keep their order in X, so every mean, split and prediction
-    equals `cart_fit`'s bit for bit.
+    node's rows keep their order in its set, so every mean, split and
+    prediction equals `cart_fit`'s bit for bit.
     """
-    X, y = _checked(X, y, min_split, min_leaf, max_depth)
-    n = y.size
-    folds = np.array([int(i) for i in folds], dtype=int)
+    X, y, sets, folds = loo_folds(X, y, folds, sets)
+    _check_limits(min_split, min_leaf, max_depth)
+    n = y.shape[1]
     if folds.size and n < 2:
         raise ValueError("cannot fit a tree on an empty training set")
-    if np.any((folds < 0) | (folds >= n)):
-        raise ValueError(f"fold indices must be within 0..{n - 1}")
 
-    # one row-membership mask per node of the current level, and the node
-    # each unresolved point has reached; fold f's points start at its root
+    # one row-membership mask and set per node of the current level, and
+    # the node each unresolved point has reached; fold f's points start at
+    # its root
     mask = np.ones((folds.size, n), dtype=bool)
     mask[np.arange(folds.size), folds] = False
-    points, at = X[folds], np.arange(folds.size)
-    if query is not None:
-        query = np.asarray(query, dtype=float)
-        points = np.concatenate([points, np.tile(query, (folds.size, 1))])
-        at = np.concatenate([at, at])
+    node_set = sets
+    if points is None:
+        points, at = X[sets, folds], np.arange(folds.size)
+    else:
+        points = np.asarray(points, dtype=float).reshape(-1, X.shape[2])
+        at = np.asarray(at, dtype=int)
     out = np.empty(at.size)
     pending = np.arange(at.size)
     for depth in range(max_depth + 1):
@@ -218,15 +217,16 @@ def cart_fit_loo(X, y, folds, query=None, min_split: int = DEFAULT_MIN_SPLIT,
         for m in np.unique(counts):
             group = np.nonzero(counts == m)[0]
             rows = np.nonzero(mask[group])[1].reshape(group.size, m)
-            y_g = y[rows]
+            of = node_set[group, None]
+            y_g = y[of, rows]
             mean = y_g.mean(axis=1)
             prediction[group] = mean
             if m < min_split or depth >= max_depth:
                 continue
             split = ~np.all(y_g == y_g[:, :1], axis=1)
             if split.any():
-                found = _best_split(X[rows[split]], y_g[split], mean[split],
-                                    min_leaf)
+                found = _best_split(X[of[split], rows[split]], y_g[split],
+                                    mean[split], min_leaf)
                 feature[group[split]], threshold[group[split]], _ = found
 
         leaf = feature[at] < 0
@@ -238,10 +238,11 @@ def cart_fit_loo(X, y, folds, query=None, min_split: int = DEFAULT_MIN_SPLIT,
         right = ~(points[pending, feature[at]] <= threshold[at])
         child, at = np.unique(2 * at + right, return_inverse=True)
         parent, side = np.divmod(child, 2)
-        left_rows = X[:, feature[parent]].T <= threshold[parent][:, None]
+        node_set = node_set[parent]
+        left_rows = X[node_set, :, feature[parent]] <= threshold[parent][:, None]
         mask = mask[parent] & (left_rows != side.astype(bool)[:, None])
 
-    return out[:folds.size], (None if query is None else out[folds.size:])
+    return out
 
 
 def cart_predict(model: CartModel, x) -> float:

@@ -4,8 +4,8 @@ Each feature that fails the normality check is moved to a natural log scale
 first (only possible when all its training values are positive).  Ordinary
 least squares is then refit repeatedly, dropping the least significant
 feature until every retained coefficient has p <= alpha; the intercept is
-always kept.  `stepwise_fit_loo` runs the eliminations of every
-leave-one-out fold of a training set together, with the same models.
+always kept.  `stepwise_fit_loo` runs the eliminations of leave-one-out
+folds of one or several training sets together, with the same models.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from ..preprocess import normality_check
-from .base import loo_train_rows
+from .base import loo_folds, loo_train_rows, training_arrays
 
 ALPHA_REMOVE = 0.05
 MIN_TRAIN = 6
@@ -199,41 +199,32 @@ def _fit_sets(Xs: np.ndarray, ys: np.ndarray) -> list[StepwiseModel]:
     return models
 
 
-def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.size:
-        raise ValueError("X must be (n, f) with one target per row")
-    return X, y
-
-
 def _too_few(n: int) -> ValueError:
     return ValueError(f"stepwise regression needs at least {MIN_TRAIN} "
                       f"training projects, got {n}")
 
 
 def stepwise_fit(X, y) -> StepwiseModel:
-    X, y = _checked(X, y)
+    X, y = training_arrays(X, y)
     if y.size < MIN_TRAIN:
         raise _too_few(y.size)
     return _fit_sets(X[None].copy(), y[None])[0]
 
 
-def stepwise_fit_loo(X, y, folds) -> list[StepwiseModel]:
+def stepwise_fit_loo(X, y, folds, sets=None) -> list[StepwiseModel]:
     """For each row index i in `folds`, the model that `stepwise_fit`
-    returns on X and y without row i.  The folds' training sets are
-    gathered into one stack and eliminated together (see `_fit_sets`)."""
-    X, y = _checked(X, y)
-    n = y.size
-    folds = np.array([int(i) for i in folds], dtype=int)
-    if np.any((folds < 0) | (folds >= n)):
-        raise ValueError(f"fold indices must be within 0..{n - 1}")
+    returns on X and y without row i.  With `sets`, X (sets, n, f) and y
+    (sets, n) stack equal-size training sets, and fold k leaves row
+    folds[k] out of set sets[k].  The folds' training sets are gathered
+    into one stack and eliminated together (see `_fit_sets`)."""
+    X, y, sets, folds = loo_folds(X, y, folds, sets)
     if not folds.size:
         return []
+    n = y.shape[1]
     if n - 1 < MIN_TRAIN:
         raise _too_few(n - 1)
     train = loo_train_rows(n, folds)
-    return _fit_sets(X[train], y[train])
+    return _fit_sets(X[sets[:, None], train], y[sets[:, None], train])
 
 
 def stepwise_predict(model: StepwiseModel, x) -> float:

@@ -6,9 +6,9 @@ single equality constraint sum(alpha - alpha*) = 0.  Pairs are picked by
 maximal violation with second-order selection of the partner, and the
 solver stops when the worst KKT violation drops to `TOL`.
 
-`svr_fit_loo` fits every leave-one-out fold of one training set at once:
-the folds run `svr_fit`'s iterations in lockstep over stacked arrays and
-return the same models, bit for bit.
+`svr_fit_loo` fits leave-one-out folds of one or several training sets
+at once: the folds run `svr_fit`'s iterations in lockstep over stacked
+arrays and return the same models, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import loo_train_rows
+from .base import loo_folds, loo_train_rows, training_arrays
 
 DEFAULT_C = 1.0
 DEFAULT_EPSILON = 0.1
@@ -118,20 +118,14 @@ def resolve_gamma(X: np.ndarray, gamma: float | None) -> float:
     return 1.0 / (X.shape[1] * mean_var)
 
 
-def _checked(X, y, c: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Training inputs as float arrays, after the checks every fit makes."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.size:
-        raise ValueError("X must be (n, f) with one target per row")
-    n = y.size
+def _check_settings(n: int, c: float, epsilon: float) -> None:
+    """The checks every fit makes on its training size and settings."""
     if n < 2:
         raise ValueError(f"SVR needs at least 2 training projects, got {n}")
     if not c > 0:
         raise ValueError(f"C must be positive, got {c}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    return X, y
 
 
 def _bias_only(X: np.ndarray, y: np.ndarray, gamma: float | None, c: float,
@@ -151,46 +145,41 @@ def _bias_only(X: np.ndarray, y: np.ndarray, gamma: float | None, c: float,
     )
 
 
-def _dual_model(X: np.ndarray, y: np.ndarray, theta: np.ndarray,
-                neg_zg: np.ndarray, gamma: float, c: float, epsilon: float,
-                n_iter: int, converged: bool) -> SvrModel:
-    """The model for a final dual state: support vectors and coefficients
-    from theta, the bias from the final violation bracket."""
-    n = y.size
+def _dual_models(X: np.ndarray, theta: np.ndarray, neg_zg: np.ndarray,
+                 gammas, c: float, epsilon: float, n_iter,
+                 converged) -> list[SvrModel]:
+    """The model of each problem's final dual state, for problems stacked
+    as X (problems, n, f) and theta, neg_zg (problems, 2n): support vectors
+    and coefficients from theta, the bias from the final violation
+    bracket."""
+    n = X.shape[1]
     pos = np.arange(2 * n) < n
     # masks recomputed from theta
     up = np.where(pos, theta < c, theta > 0.0)
     low = np.where(pos, theta > 0.0, theta < c)
-    lo_bound = np.max(neg_zg[up]) if up.any() else None
-    hi_bound = np.min(neg_zg[low]) if low.any() else None
-    if lo_bound is not None and hi_bound is not None:
-        bias = float(lo_bound + hi_bound) / 2.0
-    elif lo_bound is not None:
-        bias = float(lo_bound)
-    elif hi_bound is not None:
-        bias = float(hi_bound)
-    else:
-        bias = float(y.mean())
+    lo_bound = np.where(up, neg_zg, -np.inf).max(axis=1)
+    hi_bound = np.where(low, neg_zg, np.inf).min(axis=1)
+    # one side can be empty, not both: a positive variable is always free
+    # to move up or down
+    has_lo, has_hi = up.any(axis=1), low.any(axis=1)
+    bias = np.where(has_lo & has_hi, (lo_bound + hi_bound) / 2.0,
+                    np.where(has_lo, lo_bound, hi_bound))
 
-    beta = theta[:n] - theta[n:]
+    beta = theta[:, :n] - theta[:, n:]
     sv_mask = beta != 0.0
-    return SvrModel(
-        support_vectors=X[sv_mask].copy(),
-        coefficients=beta[sv_mask].copy(),
-        bias=bias,
-        gamma=gamma,
-        c=c,
-        epsilon=epsilon,
-        tol=TOL,
-        n_train=n,
-        n_iter=n_iter,
-        converged=converged,
-    )
+    return [SvrModel(support_vectors=X[p, sv_mask[p]],
+                     coefficients=beta[p, sv_mask[p]], bias=b, gamma=gamma,
+                     c=c, epsilon=epsilon, tol=TOL, n_train=n, n_iter=iters,
+                     converged=done)
+            for p, (b, gamma, iters, done) in enumerate(zip(
+                bias.tolist(), np.asarray(gammas, dtype=float).tolist(),
+                np.asarray(n_iter).tolist(), np.asarray(converged).tolist()))]
 
 
 def svr_fit(X, y, c: float = DEFAULT_C, epsilon: float = DEFAULT_EPSILON,
             gamma: float | None = None) -> SvrModel:
-    X, y = _checked(X, y, c, epsilon)
+    X, y = training_arrays(X, y)
+    _check_settings(y.size, c, epsilon)
     if np.all(X == X[0]):
         return _bias_only(X, y, gamma, c, epsilon)
     gamma_val = resolve_gamma(X, gamma)
@@ -246,64 +235,69 @@ def svr_fit(X, y, c: float = DEFAULT_C, epsilon: float = DEFAULT_EPSILON,
 
         neg_zg -= (k2i - kernel[j % n]) * d
 
-    return _dual_model(X, y, theta, neg_zg, gamma_val, c, epsilon, n_iter,
-                       converged)
+    return _dual_models(X[None], theta[None], neg_zg[None], [gamma_val], c,
+                        epsilon, [n_iter], [converged])[0]
 
 
 def svr_fit_loo(X, y, folds, c: float = DEFAULT_C,
                 epsilon: float = DEFAULT_EPSILON,
-                gamma: float | None = None) -> list[SvrModel]:
+                gamma: float | None = None, sets=None) -> list[SvrModel]:
     """For each row index i in `folds`, the model that `svr_fit` returns on
-    X and y without row i, with the same hyperparameters.
+    X and y without row i, with the same hyperparameters.  With `sets`, X
+    (sets, n, f) and y (sets, n) stack equal-size training sets, and fold
+    k leaves row folds[k] out of set sets[k].
 
     The folds' SMO iterations run in lockstep over stacked arrays, with
     `svr_fit`'s pair selection, step, bound snap and mask updates, so each
     model equals its `svr_fit` counterpart bit for bit.  The kernel rows a
-    step needs come from one squared-distance matrix of the whole set, so
-    the extra memory is O(n^2) however many folds there are.  The folds'
+    step needs come from one squared-distance matrix per set, so the extra
+    memory is O(n^2) per set however many folds there are.  The folds'
     identical-rows checks and automatic gammas are computed together over
     the gathered (folds, n - 1, f) training sets, with `resolve_gamma`'s
     arithmetic per fold.
     """
-    X, y = _checked(X, y, c, epsilon)
-    n = y.size
-    folds = [int(i) for i in folds]
-    if folds and n < 3:
+    X, y, sets, folds = loo_folds(X, y, folds, sets)
+    n = y.shape[1]
+    _check_settings(n, c, epsilon)
+    if folds.size and n < 3:
         raise ValueError(f"SVR needs at least 2 training projects, got {n - 1}")
-    if any(not 0 <= i < n for i in folds):
-        raise ValueError(f"fold indices must be within 0..{n - 1}")
 
     keep = loo_train_rows(n, folds)
-    Xs = X[keep]
+    Xs = X[sets[:, None], keep]
     identical = np.all(Xs == Xs[:, :1], axis=(1, 2))
     solved = np.flatnonzero(~identical)
     if gamma is None:
         mean_var = Xs.var(axis=1).mean(axis=1)[solved]
         if np.any(mean_var <= 0):
             raise ValueError("gamma=auto undefined for constant inputs")
-        gammas = 1.0 / (X.shape[1] * mean_var)
+        gammas = 1.0 / (X.shape[2] * mean_var)
     else:
-        gammas = np.full(solved.size, resolve_gamma(X, gamma))
+        gammas = np.full(solved.size, resolve_gamma(X[0], gamma))
     del Xs
-    models: list[SvrModel | None] = [None] * len(folds)
+    models: list[SvrModel | None] = [None] * folds.size
     for f in np.flatnonzero(identical):
-        models[f] = _bias_only(X[keep[f]], y[keep[f]], gamma, c, epsilon)
+        models[f] = _bias_only(X[sets[f], keep[f]], y[sets[f], keep[f]],
+                               gamma, c, epsilon)
     if solved.size:
         rows = keep[solved]
+        # the distance matrices of the sets the solved folds train on, one
+        # above the other
+        used, on = np.unique(sets[solved], return_inverse=True)
+        d2 = np.concatenate([_sq_distances(X[s]) for s in used])
         theta, neg_zg, n_iter, converged = _smo_lockstep(
-            _sq_distances(X), rows, y[rows], gammas, c, epsilon)
-        for s, f in enumerate(solved):
-            models[f] = _dual_model(
-                X[rows[s]], y[rows[s]], theta[s], neg_zg[s], float(gammas[s]),
-                c, epsilon, int(n_iter[s]), bool(converged[s]))
+            d2, on * n, rows, y[sets[solved, None], rows], gammas, c, epsilon)
+        for f, model in zip(solved, _dual_models(
+                X[sets[solved, None], rows], theta, neg_zg, gammas, c,
+                epsilon, n_iter, converged)):
+            models[f] = model
     return models
 
 
-def _kernel_at(d2: np.ndarray, rows: np.ndarray, neg_gamma: np.ndarray,
-               var: np.ndarray) -> np.ndarray:
+def _kernel_at(d2: np.ndarray, offset: np.ndarray, rows: np.ndarray,
+               neg_gamma: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Each problem's single kernel row for its variable `var`."""
     m = rows.shape[1]
-    own = rows[np.arange(rows.shape[0]), var % m]
+    own = offset + rows[np.arange(rows.shape[0]), var % m]
     return np.exp(neg_gamma * d2[own[:, None], rows])
 
 
@@ -320,13 +314,15 @@ def _snap_and_mark(theta: np.ndarray, up: np.ndarray, low: np.ndarray,
     low[r, var] = np.where(pos, value > 0.0, value < c)
 
 
-def _smo_lockstep(d2: np.ndarray, rows: np.ndarray, y_rows: np.ndarray,
-                  gammas: np.ndarray, c: float, epsilon: float):
-    """`svr_fit`'s SMO loop for several problems at once.  Problem p trains
-    on rows[p] of the set whose clipped squared distances are d2, with
-    targets y_rows[p] and width gammas[p].  A problem leaves the stack when
-    it stops.  Returns each problem's final theta and -z*grad, its
-    iteration count and whether it converged."""
+def _smo_lockstep(d2: np.ndarray, offset: np.ndarray, rows: np.ndarray,
+                  y_rows: np.ndarray, gammas: np.ndarray, c: float,
+                  epsilon: float):
+    """`svr_fit`'s SMO loop for several problems at once.  d2 stacks the
+    clipped squared distances of n-point sets one above the other, and
+    problem p trains on rows[p] of the set whose matrix starts at row
+    offset[p], with targets y_rows[p] and width gammas[p].  A problem
+    leaves the stack when it stops.  Returns each problem's final theta and
+    -z*grad, its iteration count and whether it converged."""
     problems, m = rows.shape
     theta_out = np.empty((problems, 2 * m))
     zg_out = np.empty((problems, 2 * m))
@@ -347,7 +343,7 @@ def _smo_lockstep(d2: np.ndarray, rows: np.ndarray, y_rows: np.ndarray,
         top = up_vals[r, i]
         done = top - np.where(low, neg_zg, np.inf).min(axis=1) <= TOL
 
-        k_i = _kernel_at(d2, rows, neg_gamma, i)
+        k_i = _kernel_at(d2, offset, rows, neg_gamma, i)
         quad = np.maximum(2.0 * (1.0 - k_i), _TAU)
         diff = top[:, None] - neg_zg
         ratio = ((diff * diff).reshape(-1, 2, m) / quad[:, None, :]).reshape(
@@ -368,9 +364,9 @@ def _smo_lockstep(d2: np.ndarray, rows: np.ndarray, y_rows: np.ndarray,
             theta_out[finished] = theta[stop]
             zg_out[finished] = neg_zg[stop]
             go = ~stop
-            ids, rows, neg_gamma, theta, neg_zg, up, low, i, j, d, k_i = (
-                a[go] for a in (ids, rows, neg_gamma, theta, neg_zg, up, low,
-                                i, j, d, k_i))
+            (ids, offset, rows, neg_gamma, theta, neg_zg, up, low, i, j, d,
+             k_i) = (a[go] for a in (ids, offset, rows, neg_gamma, theta,
+                                     neg_zg, up, low, i, j, d, k_i))
             if not ids.size:
                 break
             r = np.arange(ids.size)
@@ -379,7 +375,7 @@ def _smo_lockstep(d2: np.ndarray, rows: np.ndarray, y_rows: np.ndarray,
                        theta[r, i] + np.where(i < m, d, -d), c)
         _snap_and_mark(theta, up, low, j,
                        theta[r, j] - np.where(j < m, d, -d), c)
-        k_j = _kernel_at(d2, rows, neg_gamma, j)
+        k_j = _kernel_at(d2, offset, rows, neg_gamma, j)
         neg_zg -= np.tile((k_i - k_j) * d[:, None], 2)
 
     theta_out[ids] = theta

@@ -184,19 +184,22 @@ class TestCartFit:
 
 def assert_loo_equals_per_fold(X, y, folds, query, **limits):
     """`cart_fit_loo` gives, bit for bit, each fold's `cart_fit` prediction
-    at its held-out row and at the query, with or without a query."""
-    held_out, at_query = cart_fit_loo(X, y, folds, query, **limits)
+    at its held-out row, and at the query when asked for it as a point."""
+    folds = list(folds)
     want_held, want_query = [], []
     for i in folds:
         keep = np.arange(len(y)) != i
         model = cart_fit(X[keep], y[keep], **limits)
         want_held.append(model.predict(X[i]))
         want_query.append(model.predict(query))
+    held_out = cart_fit_loo(X, y, folds, **limits)
     assert held_out.tobytes() == np.array(want_held, dtype=float).tobytes()
-    assert at_query.tobytes() == np.array(want_query, dtype=float).tobytes()
-    alone, no_query = cart_fit_loo(X, y, folds, **limits)
-    assert no_query is None
-    assert alone.tobytes() == held_out.tobytes()
+    k = np.arange(len(folds))
+    points = np.vstack([X[folds], np.tile(query, (len(folds), 1))])
+    both = cart_fit_loo(X, y, folds, points=points, at=np.concatenate([k, k]),
+                        **limits)
+    assert both.tobytes() == np.array(want_held + want_query,
+                                      dtype=float).tobytes()
 
 
 class TestCartFitLoo:
@@ -260,9 +263,9 @@ class TestCartFitLoo:
         limits = {"min_split": 2, "min_leaf": 2, "max_depth": 2}
         probe = np.array([0.5, 0, 0, 0])
         assert cart_fit(X[:4], y[:4], **limits).root.threshold == 0.5
-        held_out, at_query = cart_fit_loo(X, y, [4], probe, **limits)
-        assert at_query[0] == 1.0
-        assert held_out[0] == 9.0
+        assert cart_fit_loo(X, y, [4], points=[probe], at=[0],
+                            **limits)[0] == 1.0
+        assert cart_fit_loo(X, y, [4], **limits)[0] == 9.0
         assert_loo_equals_per_fold(X, y, range(5), probe, **limits)
 
     def test_midpoint_on_a_training_value(self, rng):
@@ -275,6 +278,34 @@ class TestCartFitLoo:
         assert cart_fit(X, y).root.threshold == low
         assert_loo_equals_per_fold(X, y, range(16), rng.uniform(0, 1, 4))
 
+    def test_set_stack_equals_per_fold_fits(self, rng):
+        # equal-size sets on different scales, with tied and repeated
+        # folds; every fold's tree sees only its own set
+        for n, limits in ((12, {}), (30, {"min_split": 4, "min_leaf": 2}),
+                          (7, {"min_split": 2, "min_leaf": 1})):
+            base = rng.uniform(0, 1, (n, 4))
+            X = np.stack([base, base * [1.0, 10.0, 100.0, 0.5],
+                          np.round(rng.uniform(0, 3, (n, 4))),
+                          base + 7.0])
+            y = np.stack([rng.uniform(5, 40, n), rng.uniform(0, 1, n),
+                          rng.integers(0, 4, n).astype(float),
+                          rng.uniform(5, 40, n)])
+            sets = [0, 3, 1, 2, 2, 0, 1, 3, 2]
+            folds = [0, 1, n - 1, 2, 2, 5, 3, 0, n - 2]
+            want = [cart_fit(np.delete(X[s], i, axis=0), np.delete(y[s], i),
+                             **limits).predict(X[s, i])
+                    for s, i in zip(sets, folds)]
+            got = cart_fit_loo(X, y, folds, sets, **limits)
+            assert got.tobytes() == np.array(want).tobytes()
+            # the same trees, asked at every set's first row
+            at = np.repeat(np.arange(len(folds)), 4)
+            points = np.tile(X[:, 0], (len(folds), 1))
+            want = [cart_fit(np.delete(X[sets[k]], folds[k], axis=0),
+                             np.delete(y[sets[k]], folds[k]),
+                             **limits).predict(x) for k, x in zip(at, points)]
+            got = cart_fit_loo(X, y, folds, sets, points, at, **limits)
+            assert got.tobytes() == np.array(want).tobytes()
+
     def test_invalid_folds_refused(self, rng):
         X = rng.uniform(0, 1, (10, 4))
         y = rng.uniform(0, 50, 10)
@@ -285,6 +316,8 @@ class TestCartFitLoo:
             cart_fit_loo(X[:1], y[:1], [0])
         with pytest.raises(ValueError, match="limits"):
             cart_fit_loo(X, y, [0], max_depth=-1)
+        with pytest.raises(ValueError, match="set indices"):
+            cart_fit_loo(X[None], y[None], [0], [1])
 
 
 class TestCartPredict:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ucp_locality.ensemble as ensemble_module
 from ucp_locality.dataset import generate_synthetic
 from ucp_locality.ensemble import (
     BASE_MODELS,
@@ -162,7 +163,7 @@ class TestInnerErrorProfile:
     def test_matches_scripted_fold_replay(self, rng):
         X, y, ucp = fixture_training(rng, 8)
         params = BaseModelParams()
-        profile = inner_error_profile(X, y, ucp, params)
+        profile, = inner_error_profile([(X, y, ucp)], params)
 
         for name in BASE_MODELS:
             preds = np.empty(8)
@@ -184,50 +185,105 @@ class TestInnerErrorProfile:
         calls = []
         fit_loo = BaseModelParams.fit_loo
 
-        def counting_fit_loo(self, kind, X, y, folds, query):
-            calls.append((kind, query is not None))
-            return fit_loo(self, kind, X, y, folds, query)
+        def counting_fit_loo(self, kind, X, y, folds, *args):
+            calls.append((kind, len(folds)))
+            return fit_loo(self, kind, X, y, folds, *args)
 
         monkeypatch.setattr(BaseModelParams, "fit_loo", counting_fit_loo)
-        X, y, ucp = fixture_training(rng, 9)
-        # without a memo nothing stores a query prediction, so none is made
-        inner_error_profile(X, y, ucp, query=X[0])
-        assert calls == [(name, False) for name in BASE_MODELS]
+        inner_error_profile([fixture_training(rng, 9)])
+        assert calls == [(name, 9) for name in BASE_MODELS]
         calls.clear()
-        memo = {}
-        for query in (X[0], X[1], X[0]):
-            inner_error_profile(X, y, ucp, memo=memo, query=query)
-        assert calls == [(name, True) for name in BASE_MODELS] * 3
+        # the 27 inner problems of three sets of one size are solved together
+        inner_error_profile([fixture_training(rng, 9) for _ in range(3)])
+        assert calls == [(name, 27) for name in BASE_MODELS]
 
     def test_stepwise_fallback_fold_scores_the_training_mean(self):
         X, y = stepwise_fallback_set()
-        profile = inner_error_profile(X, y, np.ones(12))
+        profile, = inner_error_profile([(X, y, np.ones(12))])
         assert profile == per_fold_profile(X, y, np.ones(12),
                                            BaseModelParams())
 
     def test_too_small_signals_fallback(self, rng):
         X, y, ucp = fixture_training(rng, 6)
         with pytest.raises(ValueError):
-            inner_error_profile(X, y, ucp)
+            inner_error_profile([(X, y, ucp)])
+        with pytest.raises(ValueError):
+            inner_error_profile([fixture_training(rng, 9), (X, y, ucp)])
+        assert inner_error_profile([]) == []
+
+    def test_batch_equals_each_set_alone(self, rng, monkeypatch):
+        # sets of uneven sizes, a duplicate set, three sets whose inner
+        # training sets coincide in pairs (without row 0, set drop(5)
+        # trains on the same rows as set drop(0) without row 4), and a set
+        # with drop(0)'s features but other targets
+        X, y, ucp = fixture_training(rng, 12)
+
+        def drop(i):
+            return tuple(np.delete(a, i, axis=0) for a in (X, y, ucp))
+
+        other_targets = (drop(0)[0], drop(0)[1] + 1.0, drop(0)[2])
+        sets = [drop(0), fixture_training(rng, 8), drop(5),
+                fixture_training(rng, 14), drop(7), drop(5), other_targets]
+        params = BaseModelParams()
+        alone = [inner_error_profile([local], params)[0] for local in sets]
+        for local, profile in zip(sets, alone):
+            assert profile == per_fold_profile(*local, params)
+        solved = count_solved_folds(monkeypatch)
+        assert inner_error_profile(sets, params) == alone
+        distinct = distinct_inner_training_sets(sets)
+        assert distinct == 4 * 11 - 3 + 8 + 14
+        assert solved == {name: distinct for name in BASE_MODELS}
+        # stacks capped below the number of distinct problems of one size
+        monkeypatch.setattr(ensemble_module, "MAX_STACK", 4)
+        solved.clear()
+        assert inner_error_profile(sets, params) == alone
+        assert solved == {name: distinct for name in BASE_MODELS}
+        assert inner_error_profile(sets[:1], params) == alone[:1]
 
 
-def per_fold_loo(params, kind, X, y, folds, query):
+def per_fold_loo(params, kind, X, y, folds, sets=None, points=None,
+                 at=None):
     """Reference for `fit_loo`: each fold fit on its own through `fit_one`;
     a stepwise fold that cannot evaluate a point predicts its training
     mean there."""
-    held_out, at_query = [], []
-    for i in folds:
-        keep = np.arange(y.size) != i
-        model = params.fit_one(kind, X[keep], y[keep])
-        for x, out in ((X[i], held_out), (query, at_query)):
-            if x is None:
-                continue
-            try:
-                out.append(float(model.predict(x)))
-            except ValueError:
-                assert kind == "stepwise"
-                out.append(float(y[keep].mean()))
-    return held_out, at_query
+    if sets is None:
+        X, y, sets = X[None], y[None], [0] * len(folds)
+    fits = []
+    for s, i in zip(sets, folds):
+        keep = np.arange(y.shape[1]) != i
+        fits.append((params.fit_one(kind, X[s][keep], y[s][keep]),
+                     float(y[s][keep].mean())))
+    if points is None:
+        points, at = [X[s, i] for s, i in zip(sets, folds)], range(len(fits))
+    out = []
+    for k, x in zip(at, points):
+        model, mean = fits[k]
+        try:
+            out.append(float(model.predict(x)))
+        except ValueError:
+            assert kind == "stepwise"
+            out.append(mean)
+    return out
+
+
+def count_solved_folds(monkeypatch) -> dict:
+    """Patch `fit_loo` to add up, per learner, the folds it solves."""
+    solved = {}
+    fit_loo = BaseModelParams.fit_loo
+
+    def counting_fit_loo(self, kind, X, y, folds, *args):
+        solved[kind] = solved.get(kind, 0) + len(folds)
+        return fit_loo(self, kind, X, y, folds, *args)
+
+    monkeypatch.setattr(BaseModelParams, "fit_loo", counting_fit_loo)
+    return solved
+
+
+def distinct_inner_training_sets(local_sets) -> int:
+    """The number of distinct (X, y) training sets over every inner
+    leave-one-out fold of the given (X, y, ucp) local sets."""
+    return len({(np.delete(X, i, axis=0).tobytes(), np.delete(y, i).tobytes())
+                for X, y, _ in local_sets for i in range(y.size)})
 
 
 def stepwise_fallback_set():
@@ -242,33 +298,43 @@ def stepwise_fallback_set():
 
 class TestFitLoo:
     @pytest.mark.parametrize("kind", BASE_MODELS)
-    @pytest.mark.parametrize("with_query", [False, True])
-    def test_equals_per_fold_fits(self, kind, with_query, rng):
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_equals_per_fold_fits(self, kind, stacked, rng):
+        # one set, or a stack of differently scaled sets whose folds are
+        # also asked at other points
         params = BaseModelParams()
         for n, folds in ((8, [3, 0, 7, 3]), (13, range(13)), (9, [])):
             X, y, _ = fixture_training(rng, n)
-            query = rng.uniform(-0.2, 1.2, 4) if with_query else None
-            held_out, at_query = params.fit_loo(kind, X, y, folds, query)
-            ref_held_out, ref_at_query = per_fold_loo(params, kind, X, y,
-                                                      folds, query)
-            assert list(held_out) == ref_held_out
-            if with_query:
-                assert list(at_query) == ref_at_query
-            else:
-                assert at_query is None
+            if not stacked:
+                assert list(params.fit_loo(kind, X, y, folds)) == \
+                    per_fold_loo(params, kind, X, y, folds)
+                continue
+            X = np.stack([X, X * [10.0, 1.0, 0.1, 2.0],
+                          fixture_training(rng, n)[0] - 0.5])
+            y = np.stack([y, 0.5 * y, y[::-1]])
+            sets = rng.integers(0, 3, len(folds))
+            assert list(params.fit_loo(kind, X, y, folds, sets)) == \
+                per_fold_loo(params, kind, X, y, folds, sets)
+            points = rng.uniform(-0.2, 1.2, (2 * len(folds), 4))
+            at = np.repeat(np.arange(len(folds)), 2)
+            assert list(params.fit_loo(kind, X, y, folds, sets, points, at)) \
+                == per_fold_loo(params, kind, X, y, folds, sets, points, at)
 
     def test_stepwise_fold_falls_back_to_its_training_mean(self):
         X, y = stepwise_fallback_set()
         model = BaseModelParams().fit_one("stepwise", X[1:], y[1:])
         with pytest.raises(ValueError):
             model.predict(X[0])
-        query = np.array([-0.1, 0.5])
+        query = np.tile([-0.1, 0.5], (12, 1))
         params = BaseModelParams()
         folds = range(12)
-        held_out, at_query = params.fit_loo("stepwise", X, y, folds, query)
+        held_out = params.fit_loo("stepwise", X, y, folds)
+        at_query = params.fit_loo("stepwise", X, y, folds, points=query,
+                                  at=folds)
         assert held_out[0] == at_query[0] == float(y[1:].mean())
-        assert (list(held_out), list(at_query)) == per_fold_loo(
-            params, "stepwise", X, y, folds, query)
+        assert list(held_out) == per_fold_loo(params, "stepwise", X, y, folds)
+        assert list(at_query) == per_fold_loo(params, "stepwise", X, y, folds,
+                                              points=query, at=folds)
 
     def test_unknown_kind(self, rng):
         X, y, _ = fixture_training(rng, 9)
@@ -316,7 +382,7 @@ class TestEnsembleFit:
 
 def per_fold_profile(X, y, ucp, params):
     """Reference inner-validation profile: every inner fold fit on its own
-    through `fit_one`, with no memo and no stacked SVR solve."""
+    through `fit_one`, with no shared fit and no stacked solve."""
     from ucp_locality.ensemble import (
         ErrorProfile,
         _normalize_across_models,
@@ -399,7 +465,38 @@ class TestInnerFitMemo:
         # `stepwise_fit_loo`; the only fits are the n final ones
         assert calls == [len(data) - 1] * len(data)
 
-    def test_memo_needs_query(self, rng):
-        X, y, ucp = fixture_training(rng, 8)
-        with pytest.raises(ValueError):
-            inner_error_profile(X, y, ucp, memo={})
+    def test_each_learner_solves_each_distinct_training_set_once(
+            self, monkeypatch):
+        data = generate_synthetic(5, 20)
+        solved = count_solved_folds(monkeypatch)
+        report = loocv_run(data, "none", "ensemble", RunSettings(seed=3))
+        by_id = {p.id: p for p in data}
+        local_sets = []
+        for fold in report.folds:
+            local = [by_id[pid] for pid in fold.local_ids]
+            features = np.array([p.size_features() for p in local])
+            local_sets.append((minmax_apply(minmax_fit(features), features),
+                               np.array([p.pdr for p in local]), None))
+        distinct = distinct_inner_training_sets(local_sets)
+        # folds whose scalers agree share inner training sets
+        assert distinct < sum(len(fold.local_ids) for fold in report.folds)
+        assert solved == {name: distinct for name in BASE_MODELS}
+
+    def test_one_inner_error_profile_call_per_ensemble_cell(
+            self, monkeypatch):
+        import ucp_locality.evaluation as evaluation_module
+
+        calls = []
+        profile = evaluation_module.inner_error_profile
+
+        def counting_profile(local_sets, *args):
+            calls.append(len(local_sets))
+            return profile(local_sets, *args)
+
+        monkeypatch.setattr(evaluation_module, "inner_error_profile",
+                            counting_profile)
+        data = generate_synthetic(5, 20)
+        for scheme in ("none", "e2", "kmeans"):
+            calls.clear()
+            report = loocv_run(data, scheme, "ensemble", RunSettings(seed=3))
+            assert calls == [sum(f.local_size > 6 for f in report.folds)]

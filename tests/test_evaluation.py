@@ -291,13 +291,12 @@ class TestBenchmarkAll:
 
         def count(params, kind, X, y):
             if not where["inner"]:
-                fits[where["scheme"], where["test"], kind, X.tobytes(),
-                     y.tobytes()] += 1
+                fits[where["scheme"], kind, X.tobytes(), y.tobytes()] += 1
 
+        # an ensemble cell fits its folds after building all their local
+        # sets, so fits are keyed by their training bytes, not by fold
         track(evaluation, "loocv_run",
               lambda dataset, scheme, *_: where.update(scheme=scheme))
-        track(evaluation, "fit_local",
-              lambda training, test, *_: where.update(test=test.id))
         track(ensemble, "inner_error_profile",
               lambda *_: where.update(inner=True))
         track(BaseModelParams, "fit_one", count)

@@ -299,6 +299,33 @@ class TestStepwiseFitLoo:
                 stepwise_fit(np.delete(X, i, axis=0), np.delete(y, i)).to_dict()
                 for i in folds]
 
+    def test_set_stack_equals_per_fold_fits(self, rng):
+        # equal-size sets of different kinds and scales, with repeated
+        # folds; each fold sees only its own set
+        seen = set()
+        n = 14
+        raw = rng.lognormal(0, 1, (n, 3))
+        collinear = rng.uniform(0, 1, (n, 3))
+        collinear[:, 2] = 2.0 * collinear[:, 0] - collinear[:, 1]
+        X = np.stack([raw, minmax_apply(minmax_fit(raw), raw),
+                      raw * [1e3, 1.0, 1e-3],
+                      rng.integers(1, 4, (n, 3)).astype(float), collinear])
+        y = np.stack([3.0 * np.log(raw[:, 0]) + rng.normal(0, 0.3, n),
+                      rng.uniform(5, 40, n),
+                      3.0 * np.log(raw[:, 0]) + rng.normal(0, 0.3, n),
+                      rng.integers(0, 5, n).astype(float),
+                      collinear[:, 0] + rng.normal(0, 0.2, n)])
+        sets = [0, 1, 2, 3, 4, 0, 4, 2, 1, 3, 0]
+        folds = [0, 0, 5, n - 1, 3, 0, 3, 1, n - 1, 2, 9]
+        models = stepwise_fit_loo(X, y, folds, sets)
+        for model, s, i in zip(models, sets, folds):
+            X_i, y_i = np.delete(X[s], i, axis=0), np.delete(y[s], i)
+            expected = loop_stepwise_fit(X_i, y_i, seen).to_dict()
+            assert model.to_dict() == expected
+            assert stepwise_fit(X_i, y_i).to_dict() == expected
+        assert seen >= {"log flag", "rank deficient"}
+        assert stepwise_fit_loo(X, y, [], []) == []
+
     def test_invalid_folds_rejected(self, rng):
         X, y = rng.uniform(0, 1, (10, 3)), rng.uniform(5, 40, 10)
         for folds in ([-1], [10], [0, 10]):

@@ -6,6 +6,7 @@ from ucp_locality.regressors.base import model_from_dict
 from ucp_locality.regressors.svr import (
     _BOUND_SNAP,
     _TAU,
+    _dual_models,
     _kernel_rows,
     _snap_and_mark,
     resolve_gamma,
@@ -220,6 +221,55 @@ class TestSvrFitLoo:
             positive = idx < 2
             assert up[p, idx] == (want < c if positive else want > 0.0)
             assert low[p, idx] == (want > 0.0 if positive else want < c)
+
+    def test_set_stack_equals_per_fold_fits(self, rng):
+        # equal-size sets on different scales, one of them with identical
+        # rows once its last row is left out; each fold sees only its set
+        n = 12
+        X1, y1 = random_instance(rng, n)
+        X2, y2 = random_instance(rng, n)
+        X = np.stack([X1, X1 * [10.0, 1.0, 0.1, 3.0], X2 + 5.0,
+                      np.vstack([np.ones((n - 1, 4)), np.zeros((1, 4))])])
+        y = np.stack([y1, y1, 0.01 * y2, np.arange(n, dtype=float)])
+        sets = [0, 1, 2, 3, 3, 1, 0, 2, 1]
+        folds = [3, 3, 0, n - 1, 2, 0, 3, n - 1, 7]
+        for kwargs in ({}, {"c": 5.0, "epsilon": 0.02, "gamma": 2.0}):
+            stacked = svr_fit_loo(X, y, folds, sets=sets, **kwargs)
+            for model, s, i in zip(stacked, sets, folds):
+                want = svr_fit(np.delete(X[s], i, axis=0), np.delete(y[s], i),
+                               **kwargs)
+                assert model.to_dict() == want.to_dict()
+            assert stacked[3].coefficients.size == 0
+        assert svr_fit_loo(X, y, [], sets=[]) == []
+
+    def test_dual_models_equal_the_scalar_rule(self, rng):
+        # states with every variable at a bound leave one side of the
+        # violation bracket empty; the bias is then that side's bound
+        c, n = 0.8, 5
+        states = [np.concatenate([np.full(n, c), np.zeros(n)]),
+                  np.concatenate([np.zeros(n), np.full(n, c)]),
+                  np.where(rng.uniform(size=2 * n) < 0.5, 0.0, c)]
+        states += [rng.choice([0.0, c, 0.3, 0.7], 2 * n) for _ in range(20)]
+        theta = np.array(states)
+        neg_zg = rng.normal(0, 1, theta.shape)
+        X = rng.uniform(0, 1, (len(states), n, 4))
+        gammas = rng.uniform(0.5, 2, len(states))
+        models = _dual_models(X, theta, neg_zg, gammas, c, 0.1,
+                              np.arange(len(states)), [True] * len(states))
+        pos = np.arange(2 * n) < n
+        for p, model in enumerate(models):
+            t, g = theta[p], neg_zg[p]
+            up = np.where(pos, t < c, t > 0.0)
+            low = np.where(pos, t > 0.0, t < c)
+            if up.any() and low.any():
+                want = float(np.max(g[up]) + np.min(g[low])) / 2.0
+            else:
+                want = float(np.max(g[up]) if up.any() else np.min(g[low]))
+            assert model.bias == want
+            beta = t[:n] - t[n:]
+            assert model.coefficients.tolist() == beta[beta != 0].tolist()
+            assert model.support_vectors.tolist() == X[p][beta != 0].tolist()
+            assert (model.gamma, model.n_iter) == (gammas[p], p)
 
     def test_subset_of_folds_in_given_order(self, rng):
         X, y = random_instance(rng, 15)
