@@ -33,18 +33,15 @@ from .evaluation import (
     benchmark_all,
     build_partitioning,
     fit_local,
+    grid_cells,
 )
 from .plots import svg_bar_chart, svg_histogram, svg_interval_plot
 from .preprocess import DEFAULT_Z_THRESHOLD, remove_outliers, zscore_outliers
 from .report import (
-    build_locality_grid,
-    build_none_grid,
+    benchmark_files,
     intervals_to_csv,
     moments_table,
-    render_grid,
     spearman_table,
-    traces_to_csv,
-    weights_to_csv,
 )
 from .stats import interval_plot_data, level_counts
 
@@ -236,10 +233,13 @@ def _parse_model_selector(value: str) -> list[str] | None:
 
 
 def cmd_benchmark(args) -> int:
-    dataset = _load(args.data)
-    settings = _settings_from_args(args)
     schemes = _parse_scheme_selector(args.scheme)
     models = _parse_model_selector(args.model)
+    if not grid_cells(schemes, models):
+        raise _fail(f"--scheme {args.scheme} --model {args.model} selects no "
+                    f"cell: the baselines run only with --scheme none")
+    dataset = _load(args.data)
+    settings = _settings_from_args(args)
     out = Path(args.out)
     (out / "traces").mkdir(parents=True, exist_ok=True)
 
@@ -251,18 +251,8 @@ def cmd_benchmark(args) -> int:
 
     reports = benchmark_all(cleaned, settings, schemes=schemes, models=models)
 
-    ext = args.format
-    locality = build_locality_grid(reports)
-    none_grid = build_none_grid(reports)
-    if locality.cells:
-        (out / f"table4.{ext}").write_text(render_grid(locality, ext))
-    if none_grid.cells:
-        (out / f"table5.{ext}").write_text(render_grid(none_grid, ext))
-    for rep in reports:
-        stem = f"{rep.scheme}_{rep.model}"
-        (out / "traces" / f"{stem}.csv").write_text(traces_to_csv(rep))
-        if rep.model == "ensemble":
-            (out / "traces" / f"{stem}_weights.csv").write_text(weights_to_csv(rep))
+    for rel, text in benchmark_files(reports, args.format).items():
+        (out / rel).write_text(text)
 
     run_info = {
         "seed": settings.seed,

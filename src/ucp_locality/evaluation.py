@@ -7,6 +7,7 @@ quantity the benchmark tables report.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from .locality import (
     derive_seed,
     partition_by_factor,
     partition_by_kmeans,
+    partition_each_by_kmeans,
 )
 from .preprocess import ScalerParams, minmax_apply, minmax_fit
 from .regressors.base import model_from_dict
@@ -124,10 +126,42 @@ def build_partitioning(training: Dataset, scheme: str,
     if scheme in FACTOR_SCHEMES:
         return partition_by_factor(training, int(scheme[1:]))
     if scheme == SCHEME_KMEANS:
-        return partition_by_kmeans(
-            training, k_max=min(KMEANS_K_MAX, len(training) // 2),
-            seed=fold_seed)
+        return partition_by_kmeans(training, k_max=_kmeans_k_max(training),
+                                   seed=fold_seed)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _kmeans_k_max(training) -> int:
+    return min(KMEANS_K_MAX, len(training) // 2)
+
+
+def _fold_runs(dataset: Dataset, scheme: str, model: str,
+               settings: RunSettings, memo: dict):
+    """(training, test, partitioning) for each leave-one-out fold.  The
+    partitioning is None without locality.  Partitionings are kept in
+    `memo`, keyed on the scheme, fold seed and training projects; those
+    missing are built together, the k-means folds by one
+    `partition_each_by_kmeans` call."""
+    runs = [(tuple(p for p in dataset if p.id != test.id), test)
+            for test in dataset]
+    if scheme == SCHEME_NONE or model in BASELINE_MODELS:
+        return [(training, test, None) for training, test in runs]
+    keys = [(scheme, derive_seed(settings.seed, i), training)
+            for i, (training, _) in enumerate(runs)]
+    partitionings = [memo.get(key) for key in keys]
+    missing = [i for i, part in enumerate(partitionings) if part is None]
+    trainings = [Dataset(runs[i][0], name=dataset.name) for i in missing]
+    seeds = [keys[i][1] for i in missing]
+    if scheme == SCHEME_KMEANS and missing:
+        built = partition_each_by_kmeans(
+            trainings, _kmeans_k_max(trainings[0]), seeds)
+    else:
+        built = map(build_partitioning, trainings, [scheme] * len(missing),
+                    seeds)
+    for i, part in zip(missing, built):
+        partitionings[i] = memo[keys[i]] = part
+    return [(training, test, part)
+            for (training, test), part in zip(runs, partitionings)]
 
 
 def local_minimum(model: str, settings: RunSettings) -> int:
@@ -220,10 +254,14 @@ def _local_set(training, test: Project, model: str, settings: RunSettings,
     local = list(training)
     label = fallback = None
     if partitioning is not None and model not in BASELINE_MODELS:
-        label = assign(test, partitioning)
+        label = assign(test, partitioning) if partitioning.partitions \
+            else None
         members = partitioning.partitions.get(label)
         min_needed = local_minimum(model, settings)
-        if members is None:
+        if label is None:
+            fallback = (f"the training set has fewer than {KMEANS_K_MIN} "
+                        f"distinct factor vectors to cluster")
+        elif members is None:
             fallback = f"partition {label} is empty"
         elif len(members) < min_needed:
             fallback = (f"partition {label} has {len(members)} projects, "
@@ -243,19 +281,39 @@ def _local_set(training, test: Project, model: str, settings: RunSettings,
                     np.array([p.ucp for p in local]))
 
 
+def _profile_key(X: np.ndarray, y: np.ndarray, ucp: np.ndarray) -> tuple:
+    return ("profile", X.shape, hashlib.blake2b(
+        X.tobytes() + y.tobytes() + ucp.tobytes()).digest())
+
+
+def _store_profiles(entries, params: BaseModelParams) -> None:
+    """Put into each (memo, local set) entry's memo the set's inner
+    leave-one-out profile, for every set large enough for inner validation
+    whose memo lacks it.  All of them are computed in one
+    `inner_error_profile` call."""
+    pending = []
+    for memo, (_, X, y, ucp) in entries:
+        key = _profile_key(X, y, ucp)
+        if y.size > STEPWISE_MIN_TRAIN and key not in memo:
+            pending.append((memo, key, (X, y, ucp)))
+    if pending:
+        profiles = inner_error_profile([data for *_, data in pending], params)
+        for (memo, key, _), profile in zip(pending, profiles):
+            memo[key] = profile
+
+
 def _fit_ensembles(local_sets, settings: RunSettings,
                    memo: dict | None) -> list[LocalModel]:
-    """The ensemble fit on each local set of `_local_set`: one
-    `inner_error_profile` call over every set large enough for inner
-    validation, then one `ensemble_fit` per set with its profile and its
-    base models shared through `fit_shared`."""
+    """The ensemble fit on each local set of `_local_set`: the sets'
+    profiles from `memo`, those missing computed in one `_store_profiles`
+    call, then one `ensemble_fit` per set with its profile and its base
+    models shared through `fit_shared`."""
     params = settings.base_params
-    profiles = iter(inner_error_profile(
-        [(X, y, ucp) for _, (_, X, y, ucp) in local_sets
-         if y.size > STEPWISE_MIN_TRAIN], params))
+    profiles = {} if memo is None else memo
+    _store_profiles([(profiles, data) for _, data in local_sets], params)
     return [LocalModel(**fields, scaler=scaler, model=ensemble_fit(
                 X, y, ucp, alpha=settings.ensemble_alpha, params=params,
-                profile=next(profiles) if y.size > STEPWISE_MIN_TRAIN else None,
+                profile=profiles.get(_profile_key(X, y, ucp)),
                 models={name: fit_shared(params, name, X, y, memo)
                         for name in BASE_MODELS}))
             for fields, (scaler, X, y, ucp) in local_sets]
@@ -293,13 +351,15 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
     Per fold: the partitioning, the feature scaler and the model fit all see
     only the training projects.  A local set smaller than the minimum (or a
     missing partition label) falls back to the full training set, flagged.
-    An ensemble cell builds every fold's local set first and computes all
+    The folds' partitionings are built together (see `_fold_runs`).  An
+    ensemble cell builds every fold's local set first and computes all
     their inner leave-one-out profiles in one `inner_error_profile` call,
     which solves an inner fit shared by several folds once.
 
     `memo` carries work between folds and between runs: each fold's
-    partitioning, keyed on the scheme, fold seed and training projects, and
-    each base-learner fit on a local set (see `fit_shared`).  Keys hold
+    partitioning, keyed on the scheme, fold seed and training projects,
+    each base-learner fit on a local set (see `fit_shared`) and each local
+    set's inner profile, keyed on its data.  Keys hold
     their inputs exactly, so any runs whose settings agree on `base_params`
     can share a memo and get the reports fresh memos give.  Without one,
     the run uses its own.
@@ -313,20 +373,8 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
         raise ValueError(
             f"LOOCV needs at least {MIN_DATASET_SIZE} projects, got {len(dataset)}")
 
-    uses_locality = scheme != SCHEME_NONE and model not in BASELINE_MODELS
     memo = {} if memo is None else memo
-    runs = []
-    for fold_index, test in enumerate(dataset):
-        training = tuple(p for p in dataset if p.id != test.id)
-        partitioning = None
-        if uses_locality:
-            fold_seed = derive_seed(settings.seed, fold_index)
-            key = (scheme, fold_seed, training)
-            partitioning = memo.get(key)
-            if partitioning is None:
-                partitioning = memo[key] = build_partitioning(
-                    Dataset(training, name=dataset.name), scheme, fold_seed)
-        runs.append((training, test, partitioning))
+    runs = _fold_runs(dataset, scheme, model, settings, memo)
     if model == "ensemble":
         local_models = _fit_ensembles(
             [_local_set(training, test, model, settings, partitioning)
@@ -369,26 +417,47 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
     )
 
 
-def benchmark_all(dataset: Dataset, settings: RunSettings | None = None,
-                  schemes=None, models=None) -> list[EvaluationReport]:
-    """Every locality scheme crossed with the four learners, plus
-    no-locality runs for the learners and both baselines.
-
-    `schemes`/`models` filter the grid; baselines ignore locality so they
-    only appear in the no-locality rows.  Each scheme's cells share one
-    memo, so a fold's partitioning and each base-learner fit on a local set
-    are computed once for the scheme (see `loocv_run`).
-    """
-    settings = settings or RunSettings()
+def grid_cells(schemes=None, models=None) -> list[tuple[str, str]]:
+    """The (scheme, model) cells `benchmark_all` runs, in its order.
+    `schemes`/`models` filter the grid (None keeps all); baselines ignore
+    locality, so they only appear in the no-locality rows."""
     scheme_list = list(schemes) if schemes is not None \
         else list(ALL_SCHEMES) + [SCHEME_NONE]
     model_list = list(models) if models is not None else list(ALL_MODELS)
+    return [(scheme, model) for scheme in scheme_list for model in model_list
+            if scheme == SCHEME_NONE or model not in BASELINE_MODELS]
+
+
+def benchmark_all(dataset: Dataset, settings: RunSettings | None = None,
+                  schemes=None, models=None) -> list[EvaluationReport]:
+    """Every locality scheme crossed with the four learners, plus
+    no-locality runs for the learners and both baselines (see
+    `grid_cells`).
+
+    Each scheme's cells share one memo, so a fold's partitioning and each
+    base-learner fit on a local set are computed once for the scheme (see
+    `loocv_run`).  Before any cell runs, the grid builds every ensemble
+    cell's local sets and computes all their inner leave-one-out profiles
+    in one `inner_error_profile` call, so an inner problem that cells of
+    different schemes share is solved once.  Each ensemble cell then finds
+    its profiles in its scheme's memo.
+    """
+    settings = settings or RunSettings()
+    cells = grid_cells(schemes, models)
+    memos = {scheme: {} for scheme, _ in cells}
+    ensemble_sets = []
+    for scheme, model in cells:
+        if model == "ensemble":
+            for training, test, partitioning in _fold_runs(
+                    dataset, scheme, model, settings, memos[scheme]):
+                _, data = _local_set(training, test, model, settings,
+                                     partitioning)
+                ensemble_sets.append((memos[scheme], data))
+    _store_profiles(ensemble_sets, settings.base_params)
 
     reports = []
-    for scheme in scheme_list:
-        memo: dict = {}
-        for model in model_list:
-            if scheme == SCHEME_NONE or model not in BASELINE_MODELS:
-                reports.append(loocv_run(dataset, scheme, model, settings,
-                                         memo))
+    for scheme in list(memos):
+        memo = memos.pop(scheme)
+        reports += [loocv_run(dataset, scheme, model, settings, memo)
+                    for cell_scheme, model in cells if cell_scheme == scheme]
     return reports

@@ -113,6 +113,24 @@ def build_none_grid(reports) -> Grid:
                 cells=marked, seed=seed)
 
 
+def benchmark_files(reports, fmt: str) -> dict[str, str]:
+    """The tables and fold traces `ucp-locality benchmark` writes for
+    `reports`, by path relative to its output directory: table4 and table5
+    when they have cells, one trace per run under traces/ and, for an
+    ensemble run, its weights next to it."""
+    files = {}
+    for name, grid in (("table4", build_locality_grid(reports)),
+                       ("table5", build_none_grid(reports))):
+        if grid.cells:
+            files[f"{name}.{fmt}"] = render_grid(grid, fmt)
+    for rep in reports:
+        stem = f"traces/{rep.scheme}_{rep.model}"
+        files[f"{stem}.csv"] = traces_to_csv(rep)
+        if rep.model == "ensemble":
+            files[f"{stem}_weights.csv"] = weights_to_csv(rep)
+    return files
+
+
 def grid_to_csv(grid: Grid) -> str:
     if grid.name == "no_locality":
         lines = ["model,mae,mbre,mibre"]

@@ -41,7 +41,10 @@ from ucp_locality.locality import (
 )
 from ucp_locality.preprocess import remove_outliers, zscore_outliers
 from ucp_locality.regressors import cart_fit, stepwise_fit, svr_fit, svr_predict
+from ucp_locality.report import benchmark_files
 from ucp_locality.stats import moments, spearman
+
+from test_golden import GOLDEN, assert_equals_golden
 
 REPLICATION_ENV = "UCP_REPLICATION_DATA"
 
@@ -364,8 +367,14 @@ def test_criterion_12_full_benchmark_budget():
     probe = [r for r in reports if (r.scheme, r.model) == ("kmeans", "svr")][0]
     again = loocv_run(cleaned, "kmeans", "svr", settings)
     assert probe == again
+
+    # every table and trace byte as recorded (tests/test_golden.py)
+    assert_equals_golden({rel: text.encode() for rel, text
+                          in benchmark_files(reports, "csv").items()},
+                         GOLDEN / "n108")
     _report(12, f"full 42-run benchmark on {len(cleaned)} projects in "
-                f"{elapsed:.0f} s (< 300 s), deterministic")
+                f"{elapsed:.0f} s (< 300 s), deterministic, equal to the "
+                f"recorded tables and traces")
 
 
 # --- conditional replication ------------------------------------------------

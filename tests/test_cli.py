@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -147,6 +148,16 @@ class TestBenchmark:
         assert main(["benchmark", "--data", data_csv, "--out",
                      str(tmp_path / "x"), "--svr-c", "-1"]) == 1
 
+    def test_selector_pair_without_cells_rejected(self, tmp_path, capsys):
+        # baselines run only without locality, so e1 x karner is no cell;
+        # the data file is never read and nothing is written
+        out = tmp_path / "none_selected"
+        assert main(["benchmark", "--data", str(tmp_path / "absent.csv"),
+                     "--out", str(out), "--scheme", "e1",
+                     "--model", "karner"]) == 1
+        assert "selects no cell" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_full_grid_shape(self, tmp_path):
         data = tmp_path / "grid.csv"
         save_dataset(generate_synthetic(3, 20), data)
@@ -274,6 +285,23 @@ class TestPredict:
         full = capsys.readouterr().out
         assert [l for l in out.splitlines() if l.startswith("pdr:")] == \
             [l for l in full.splitlines() if l.startswith("pdr:")]
+
+    def test_unclusterable_training_set_falls_back(self, tmp_path, capsys):
+        # every project scores 3 on all factors: k-means has nothing to
+        # cluster, so the fit uses the full set and says why
+        data = tmp_path / "d.csv"
+        save_dataset(Dataset(tuple(replace(p, env=(3,) * 8)
+                                   for p in generate_synthetic(3, 20))), data)
+        artifact = tmp_path / "model.json"
+        assert main(["predict", "--data", str(data), "--scheme", "kmeans",
+                     "--model", "ensemble", "--save-model", str(artifact)]
+                    + self.BASE) == 0
+        out = capsys.readouterr().out
+        assert "fell back because the training set has fewer than 2 " \
+               "distinct factor vectors to cluster" in out
+        assert main(["predict", "--model-file", str(artifact)]
+                    + self.BASE) == 0
+        assert capsys.readouterr().out == out
 
     def test_unknown_model_is_user_error(self, data_csv, capsys):
         for scheme in ("none", "e3"):

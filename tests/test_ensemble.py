@@ -17,7 +17,7 @@ from ucp_locality.ensemble import (
     sigmoid_weight,
     sw_productivity,
 )
-from ucp_locality.evaluation import RunSettings, loocv_run
+from ucp_locality.evaluation import RunSettings, benchmark_all, loocv_run
 from ucp_locality.preprocess import minmax_apply, minmax_fit
 from ucp_locality.regressors.base import model_from_dict
 
@@ -286,6 +286,37 @@ def distinct_inner_training_sets(local_sets) -> int:
                 for X, y, _ in local_sets for i in range(y.size)})
 
 
+def inner_local_sets(data, report) -> list:
+    """The (X, y, None) local sets of an ensemble report's folds that are
+    large enough for inner validation, rebuilt from their ids."""
+    by_id = {p.id: p for p in data}
+    local_sets = []
+    for fold in report.folds:
+        local = [by_id[pid] for pid in fold.local_ids]
+        if len(local) > 6:
+            features = np.array([p.size_features() for p in local])
+            local_sets.append((minmax_apply(minmax_fit(features), features),
+                               np.array([p.pdr for p in local]), None))
+    return local_sets
+
+
+def count_profile_calls(monkeypatch) -> list:
+    """Patch the harness's `inner_error_profile` to record the number of
+    local sets of each call."""
+    import ucp_locality.evaluation as evaluation_module
+
+    calls = []
+    profile = evaluation_module.inner_error_profile
+
+    def counting_profile(local_sets, *args):
+        calls.append(len(local_sets))
+        return profile(local_sets, *args)
+
+    monkeypatch.setattr(evaluation_module, "inner_error_profile",
+                        counting_profile)
+    return calls
+
+
 def stepwise_fallback_set():
     """12 rows whose column 0 has its unique minimum, 0, in row 0.  Without
     row 0 the column is positive and skewed, so that fold's stepwise model
@@ -470,31 +501,33 @@ class TestInnerFitMemo:
         data = generate_synthetic(5, 20)
         solved = count_solved_folds(monkeypatch)
         report = loocv_run(data, "none", "ensemble", RunSettings(seed=3))
-        by_id = {p.id: p for p in data}
-        local_sets = []
-        for fold in report.folds:
-            local = [by_id[pid] for pid in fold.local_ids]
-            features = np.array([p.size_features() for p in local])
-            local_sets.append((minmax_apply(minmax_fit(features), features),
-                               np.array([p.pdr for p in local]), None))
+        local_sets = inner_local_sets(data, report)
         distinct = distinct_inner_training_sets(local_sets)
         # folds whose scalers agree share inner training sets
         assert distinct < sum(len(fold.local_ids) for fold in report.folds)
         assert solved == {name: distinct for name in BASE_MODELS}
 
+    def test_grid_solves_each_distinct_training_set_once(self, monkeypatch):
+        data = generate_synthetic(5, 20)
+        solved = count_solved_folds(monkeypatch)
+        reports = benchmark_all(data, RunSettings(seed=3), models=["ensemble"])
+        cells = [inner_local_sets(data, report) for report in reports]
+        distinct = distinct_inner_training_sets(
+            [local for sets in cells for local in sets])
+        # cells of different schemes share inner training sets too
+        assert distinct < sum(map(distinct_inner_training_sets, cells))
+        assert solved == {name: distinct for name in BASE_MODELS}
+
+    def test_one_inner_error_profile_call_per_grid(self, monkeypatch):
+        calls = count_profile_calls(monkeypatch)
+        reports = benchmark_all(generate_synthetic(5, 20), RunSettings(seed=3))
+        assert calls == [sum(f.local_size > 6 for report in reports
+                             if report.model == "ensemble"
+                             for f in report.folds)]
+
     def test_one_inner_error_profile_call_per_ensemble_cell(
             self, monkeypatch):
-        import ucp_locality.evaluation as evaluation_module
-
-        calls = []
-        profile = evaluation_module.inner_error_profile
-
-        def counting_profile(local_sets, *args):
-            calls.append(len(local_sets))
-            return profile(local_sets, *args)
-
-        monkeypatch.setattr(evaluation_module, "inner_error_profile",
-                            counting_profile)
+        calls = count_profile_calls(monkeypatch)
         data = generate_synthetic(5, 20)
         for scheme in ("none", "e2", "kmeans"):
             calls.clear()

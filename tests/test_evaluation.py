@@ -145,6 +145,33 @@ class TestLoocvRun:
             assert fold.fallback
             assert fold.partition_label == "L45"
 
+    def test_unclusterable_folds_fall_back(self):
+        # all factor scores 3: no fold's training set has two distinct
+        # factor vectors, so every k-means fold uses the full training set,
+        # says why, and predicts what the no-locality cell predicts
+        flat = [replace(p, env=(3,) * 8) for p in generate_synthetic(3, 20)]
+        d = Dataset(tuple(flat))
+        test, *training = d
+        local = fit_local(training, test, "cart", RunSettings(),
+                          build_partitioning(Dataset(tuple(training)),
+                                             "kmeans", 1))
+        assert local.fallback == ("the training set has fewer than 2 "
+                                  "distinct factor vectors to cluster")
+        report = loocv_run(d, "kmeans", "ensemble")
+        assert all(f.fallback and f.partition_label is None
+                   and f.local_size == len(d) - 1 for f in report.folds)
+        assert [f.pdr_pred for f in report.folds] == \
+            [f.pdr_pred for f in loocv_run(d, "none", "ensemble").folds]
+
+        # one project scored 4 on all factors: only the fold that holds it
+        # out cannot cluster; the others split off its lone vector
+        flat[4] = replace(flat[4], env=(4,) * 8)
+        report = loocv_run(Dataset(tuple(flat)), "kmeans", "cart",
+                           RunSettings(keep_partitions=True))
+        for i, fold in enumerate(report.folds):
+            assert fold.fallback == (i == 4)
+            assert len(fold.partition_members) == (0 if i == 4 else 2)
+
     def test_prediction_floor_applied(self, data20):
         report = loocv_run(data20, "none", "stepwise")
         for fold in report.folds:

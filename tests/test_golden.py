@@ -1,7 +1,7 @@
 """Byte-for-byte check of `ucp-locality benchmark` against outputs recorded
 in `tests/golden/`.
 
-Two sets are recorded, both with default settings:
+Three sets are recorded, all with default settings:
 
 - `none/` and `e2/`: the tables and fold traces of
   `benchmark --scheme none --model ensemble` and
@@ -13,6 +13,11 @@ Two sets are recorded, both with default settings:
   `outliers.csv` and the 52 trace and weights CSVs) is listed with its
   SHA-256 in `grid/MANIFEST.sha256`, and the run must write exactly the
   files recorded there.
+- `n108/`: the whole grid on the paper-size set, `generate_synthetic(42,
+  110)` (108 projects after the outlier screen), as `table4.csv`,
+  `table5.csv` and the SHA-256 of the 52 trace and weights CSVs in
+  `n108/MANIFEST.sha256`.  Acceptance criterion 12 checks it on the grid
+  it already runs for its time budget.
 
 A refactor or speed-up must leave all of them unchanged.
 
@@ -29,6 +34,11 @@ the commands below and copying the outputs over the old files:
     cp grid/table4.csv grid/table5.csv tests/golden/grid/
     (cd grid && sha256sum run.json outliers.csv traces/*.csv) \
         > tests/golden/grid/MANIFEST.sha256
+
+    ucp-locality synth --seed 42 --n 110 --out d.csv
+    ucp-locality benchmark --data d.csv --out n108
+    cp n108/table4.csv n108/table5.csv tests/golden/n108/
+    (cd n108 && sha256sum traces/*.csv) > tests/golden/n108/MANIFEST.sha256
 
 The data file must be named `d.csv`: `run.json` records its stem as the
 dataset name.  Say in CHANGES.md which numbers changed and why.
@@ -65,6 +75,21 @@ def test_benchmark_outputs_equal_golden(scheme, tmp_path):
         assert (out / rel).read_bytes() == (GOLDEN / scheme / rel).read_bytes(), rel
 
 
+def assert_equals_golden(written: dict[str, bytes], golden: Path) -> None:
+    """`written` (file bytes by relative path) holds exactly the golden
+    directory's tables and the files listed in its MANIFEST.sha256, with
+    the recorded bytes and digests."""
+    digests = {}
+    for line in (golden / "MANIFEST.sha256").read_text().splitlines():
+        digest, rel = line.split("  ", 1)
+        digests[rel] = digest
+    assert sorted(written) == sorted(GRID_TABLES + tuple(digests))
+    for name in GRID_TABLES:
+        assert written[name] == (golden / name).read_bytes(), name
+    for rel, digest in digests.items():
+        assert hashlib.sha256(written[rel]).hexdigest() == digest, rel
+
+
 def test_full_grid_equals_golden(tmp_path):
     data = tmp_path / "d.csv"
     save_dataset(generate_synthetic(1, 40), data)
@@ -72,15 +97,6 @@ def test_full_grid_equals_golden(tmp_path):
     assert main(["benchmark", "--data", str(data), "--out", str(out)]) == 0
 
     golden = GOLDEN / "grid"
-    digests = {}
-    for line in (golden / "MANIFEST.sha256").read_text().splitlines():
-        digest, rel = line.split("  ", 1)
-        digests[rel] = digest
-    assert len(digests) == 54
-    written = sorted(p.relative_to(out).as_posix()
-                     for p in out.rglob("*") if p.is_file())
-    assert written == sorted(GRID_TABLES + tuple(digests))
-    for name in GRID_TABLES:
-        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
-    for rel, digest in digests.items():
-        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+    assert len((golden / "MANIFEST.sha256").read_text().splitlines()) == 54
+    assert_equals_golden({p.relative_to(out).as_posix(): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file()}, golden)

@@ -1,7 +1,11 @@
+from dataclasses import replace
+from functools import reduce
+
 import numpy as np
 import pytest
 
 import ucp_locality.locality as locality
+from ucp_locality.dataset import Dataset, generate_synthetic
 from ucp_locality.locality import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
@@ -14,10 +18,14 @@ from ucp_locality.locality import (
     merge_level,
     partition_by_factor,
     partition_by_kmeans,
+    partition_each_by_kmeans,
     select_k,
 )
 
 from conftest import make_dataset, make_project
+
+# six points on which several restarts empty a cluster mid-run
+RESEED_POINTS = [(0, 9), (2, 4), (0, 2), (2, 6), (7, 6), (9, 5)]
 
 
 def pad8(xy_points):
@@ -193,8 +201,7 @@ class TestKMeans:
                                         reseeds)
 
     def test_reseeded_runs_equal_loop_bit_for_bit(self):
-        # on these six points several restarts empty a cluster mid-run
-        pts = pad8([(0, 9), (2, 4), (0, 2), (2, 6), (7, 6), (9, 5)])
+        pts = pad8(RESEED_POINTS)
         reseeds = []
         for seed in range(10):
             self.assert_equals_loop(pts, 3, seed, reseeds)
@@ -205,6 +212,122 @@ class TestKMeans:
             pts = rng.uniform(0, 1, (25, 8))
             result = kmeans(pts, 6, seed=100 + trial)
             assert set(result.assignments) == set(range(6))
+
+    def test_distance_sum_follows_numpy_pairwise_order(self, rng):
+        # `_sq_distances` writes out the order in which numpy sums a
+        # contiguous row.  Near-equal coordinates of widely different
+        # magnitudes make most orders round differently, so a numpy release
+        # that sums another way fails here instead of silently changing
+        # recorded outputs.
+        for d in (1, 2, 5, 7, 8, 9, 16, 21):
+            magnitude = 10.0 ** rng.integers(-6, 7, size=d)
+            base = rng.normal(size=(30, 1, 1, d)) * magnitude
+            points = base + rng.normal(size=(30, 12, 1, d)) * magnitude * 1e-7
+            centroids = base + rng.normal(size=(30, 1, 5, d)) * magnitude * 1e-7
+            diff = points - centroids
+            squares = diff * diff
+            expected = np.add.reduce(squares, axis=3)
+            got = locality._sq_distances(
+                np.ascontiguousarray(points[:, :, 0].transpose(2, 0, 1)),
+                np.ascontiguousarray(centroids[:, 0].transpose(2, 0, 1)))
+            assert got.tobytes() == expected.tobytes(), d
+            if d >= 8:
+                in_order = reduce(np.add, np.moveaxis(squares, 3, 0))
+                assert np.mean(in_order != expected) > 0.1, d
+
+
+class TestFoldStack:
+    """`kmeans` and `select_k` over a (folds, n, d) stack, against each
+    fold on its own."""
+
+    @staticmethod
+    def stacks(rng):
+        """(stack, seeds, name) cases: random, tie-heavy, folds with 2 to 9
+        distinct rows (so different k ranges) and reseed-forcing."""
+        random = rng.uniform(0, 1, (6, 30, 8))
+        ties = rng.integers(0, 6, (7, 16, 8)) / 5.0
+        ranged = np.stack([
+            rng.integers(0, 6, (m, 8))[np.arange(18) % m] / 5.0
+            for m in range(2, 10)])
+        reseed = np.stack([pad8(RESEED_POINTS)] * 5)
+        for stack, name in ((random, "random"), (ties, "ties"),
+                            (ranged, "ranged"), (reseed, "reseed")):
+            seeds = [int(s) for s in rng.integers(1 << 30, size=len(stack))]
+            yield stack, seeds, name
+
+    @pytest.fixture(params=[None, 3, 20], ids=["one-chunk", "3-runs",
+                                                 "20-runs"])
+    def budget(self, request, monkeypatch):
+        """One chunk for all runs, or chunks of about 3 or 20 runs (exactly
+        so at n = 18 and k = 10), which split folds' restarts across chunk
+        boundaries."""
+        if request.param is not None:
+            monkeypatch.setattr(locality, "KMEANS_STACK_BYTES",
+                                8 * 18 * 10 * request.param)
+
+    def test_kmeans_stack_equals_loop_per_fold(self, rng, budget):
+        reseeds = []
+        for stack, seeds, name in self.stacks(rng):
+            fewest = min(np.unique(f, axis=0).shape[0] for f in stack)
+            for k in range(2, min(fewest, 6) + 1):
+                result = kmeans(stack, k, seeds)
+                assert type(result.n_iter) is int
+                assert result.n_iter == sum(map(len, result.inertia_history))
+                for i, (points, seed) in enumerate(zip(stack, seeds)):
+                    assignments, centroids, n_iter, history = \
+                        loop_best_kmeans(points, k, seed, reseeds)
+                    fold = result.fold(i)
+                    assert np.array_equal(fold.assignments, assignments), name
+                    assert fold.centroids.tobytes() == centroids.tobytes()
+                    assert fold.n_iter == n_iter
+                    assert fold.inertia_history == history
+        assert reseeds
+
+    def test_select_k_equals_one_call_per_fold(self, rng, budget,
+                                               monkeypatch):
+        reseeds = []
+        repopulate = locality._repopulate
+
+        def counting_repopulate(*args):
+            reseeds.append(1)
+            return repopulate(*args)
+
+        monkeypatch.setattr(locality, "_repopulate", counting_repopulate)
+        for stack, seeds, name in self.stacks(rng):
+            chosen = select_k(stack, 10, seeds)
+            assert len(chosen) == len(stack)
+            ks = set()
+            for points, seed, (k, result) in zip(stack, seeds, chosen):
+                k_alone, alone = select_k(points, 10, seed)
+                assert k == k_alone, name
+                ks.add(k)
+                assert np.array_equal(result.assignments, alone.assignments)
+                assert result.centroids.tobytes() == alone.centroids.tobytes()
+                assert result.n_iter == alone.n_iter
+                assert result.inertia_history == alone.inertia_history
+            if name == "ranged":
+                assert len(ks) > 1
+        assert reseeds
+
+    def test_partitionings_equal_one_call_per_dataset(self):
+        data = generate_synthetic(4, 16)
+        datasets = [data.subset(data.ids()[:i] + data.ids()[i + 1:])
+                    for i in range(len(data))]
+        # one set with a single factor vector: no partitions
+        datasets.append(Dataset(tuple(replace(p, env=(2,) * 8)
+                                      for p in datasets[0])))
+        seeds = list(range(len(datasets)))
+        stacked = partition_each_by_kmeans(datasets, 7, seeds)
+        for dataset, seed, part in zip(datasets, seeds, stacked):
+            alone = partition_by_kmeans(dataset, 7, seed)
+            assert part.partitions == alone.partitions
+            assert part.k == alone.k
+            assert part.env_scaler == alone.env_scaler
+            if part.k is not None:
+                assert part.centroids.tobytes() == alone.centroids.tobytes()
+        assert stacked[-1].partitions == {} and stacked[-1].k is None
+        with pytest.raises(ValueError, match="no partitions"):
+            assign(data.projects[0], stacked[-1])
 
 
 class TestDunnIndex:
