@@ -208,20 +208,6 @@ def _normalize_across_models(raw: dict[str, tuple[float, float, float]]) -> dict
     return {name: tuple(v) for name, v in normalized.items()}
 
 
-def fit_shared(params: BaseModelParams, name: str, X: np.ndarray,
-               y: np.ndarray, memo: dict | None):
-    """`params.fit_one(name, X, y)`, shared by a single learner's and the
-    ensemble's fit of one local set: the first stores the model under a
-    digest of X and y, the second takes it and drops the entry."""
-    if memo is None:
-        return params.fit_one(name, X, y)
-    key = (name, X.shape, hashlib.blake2b(X.tobytes() + y.tobytes()).digest())
-    model = memo.pop(key, None)
-    if model is None:
-        model = memo[key] = params.fit_one(name, X, y)
-    return model
-
-
 def inner_error_profile(local_sets,
                         params: BaseModelParams | None = None
                         ) -> list[ErrorProfile]:
@@ -345,8 +331,7 @@ def ensemble_fit(X, y, ucp, alpha: float = DEFAULT_ALPHA,
     inner-validation errors.  Training sets too small for inner validation
     fall back to equal weights.  `profile` is the set's
     `inner_error_profile` and `models` its three base models (the harness
-    gets them through `fit_shared`); either is computed here when not
-    given."""
+    shares them between cells); either is computed here when not given."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     params = params or BaseModelParams()

@@ -7,7 +7,6 @@ quantity the benchmark tables report.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,6 @@ from .ensemble import (
     PDR_FLOOR,
     WeightBreakdown,
     ensemble_fit,
-    fit_shared,
     inner_error_profile,
     sw_productivity,
 )
@@ -135,33 +133,38 @@ def _kmeans_k_max(training) -> int:
     return min(KMEANS_K_MAX, len(training) // 2)
 
 
-def _fold_runs(dataset: Dataset, scheme: str, model: str,
-               settings: RunSettings, memo: dict):
-    """(training, test, partitioning) for each leave-one-out fold.  The
-    partitioning is None without locality.  Partitionings are kept in
-    `memo`, keyed on the scheme, fold seed and training projects; those
-    missing are built together, the k-means folds by one
-    `partition_each_by_kmeans` call."""
+def _fold_runs(dataset: Dataset, scheme: str, settings: RunSettings):
+    """(training, test, partitioning) for each leave-one-out fold; the
+    partitioning is None without locality.  The k-means folds are
+    partitioned together by one `partition_each_by_kmeans` call."""
     runs = [(tuple(p for p in dataset if p.id != test.id), test)
             for test in dataset]
-    if scheme == SCHEME_NONE or model in BASELINE_MODELS:
+    if scheme == SCHEME_NONE:
         return [(training, test, None) for training, test in runs]
-    keys = [(scheme, derive_seed(settings.seed, i), training)
-            for i, (training, _) in enumerate(runs)]
-    partitionings = [memo.get(key) for key in keys]
-    missing = [i for i, part in enumerate(partitionings) if part is None]
-    trainings = [Dataset(runs[i][0], name=dataset.name) for i in missing]
-    seeds = [keys[i][1] for i in missing]
-    if scheme == SCHEME_KMEANS and missing:
+    trainings = [Dataset(training, name=dataset.name) for training, _ in runs]
+    seeds = [derive_seed(settings.seed, i) for i in range(len(runs))]
+    if scheme == SCHEME_KMEANS:
         built = partition_each_by_kmeans(
             trainings, _kmeans_k_max(trainings[0]), seeds)
     else:
-        built = map(build_partitioning, trainings, [scheme] * len(missing),
+        built = map(build_partitioning, trainings, [scheme] * len(runs),
                     seeds)
-    for i, part in zip(missing, built):
-        partitionings[i] = memo[keys[i]] = part
     return [(training, test, part)
-            for (training, test), part in zip(runs, partitionings)]
+            for (training, test), part in zip(runs, built)]
+
+
+@dataclass
+class _SchemeRun:
+    """What the cells of one scheme share in one run: each fold's
+    (training, test, partitioning), each ensemble fold's
+    (fields, local set, profile) once `_add_ensemble_sets` has built them,
+    and each learner's fit of a local set, keyed by (learner, local ids).
+    Ids are unique in a dataset and the scaler is fit on the set, so the
+    ids fix the fit's X and y."""
+
+    runs: list
+    ensemble_sets: list | None = None
+    fits: dict = field(default_factory=dict)
 
 
 def local_minimum(model: str, settings: RunSettings) -> int:
@@ -281,71 +284,85 @@ def _local_set(training, test: Project, model: str, settings: RunSettings,
                     np.array([p.ucp for p in local]))
 
 
-def _profile_key(X: np.ndarray, y: np.ndarray, ucp: np.ndarray) -> tuple:
-    return ("profile", X.shape, hashlib.blake2b(
-        X.tobytes() + y.tobytes() + ucp.tobytes()).digest())
-
-
-def _store_profiles(entries, params: BaseModelParams) -> None:
-    """Put into each (memo, local set) entry's memo the set's inner
-    leave-one-out profile, for every set large enough for inner validation
-    whose memo lacks it.  All of them are computed in one
+def _add_ensemble_sets(scheme_runs, settings: RunSettings) -> None:
+    """Build every fold's ensemble local set of each `_SchemeRun` in
+    `scheme_runs`, with the inner leave-one-out profile of each set large
+    enough for inner validation.  All the profiles are computed in one
     `inner_error_profile` call."""
-    pending = []
-    for memo, (_, X, y, ucp) in entries:
-        key = _profile_key(X, y, ucp)
-        if y.size > STEPWISE_MIN_TRAIN and key not in memo:
-            pending.append((memo, key, (X, y, ucp)))
-    if pending:
-        profiles = inner_error_profile([data for *_, data in pending], params)
-        for (memo, key, _), profile in zip(pending, profiles):
-            memo[key] = profile
+    for run in scheme_runs:
+        run.ensemble_sets = [
+            _local_set(training, test, "ensemble", settings, partitioning)
+            for training, test, partitioning in run.runs]
+    inner = [(X, y, ucp) for run in scheme_runs
+             for _, (_, X, y, ucp) in run.ensemble_sets
+             if y.size > STEPWISE_MIN_TRAIN]
+    profiles = iter(inner_error_profile(inner, settings.base_params)
+                    if inner else ())
+    for run in scheme_runs:
+        run.ensemble_sets = [
+            (fields, data, next(profiles)
+             if data[2].size > STEPWISE_MIN_TRAIN else None)
+            for fields, data in run.ensemble_sets]
 
 
-def _fit_ensembles(local_sets, settings: RunSettings,
-                   memo: dict | None) -> list[LocalModel]:
-    """The ensemble fit on each local set of `_local_set`: the sets'
-    profiles from `memo`, those missing computed in one `_store_profiles`
-    call, then one `ensemble_fit` per set with its profile and its base
-    models shared through `fit_shared`."""
+def _local_model(fields: dict, data, settings: RunSettings, fits: dict,
+                 profile=None) -> LocalModel:
+    """The `LocalModel` of one local set of `_local_set`.  A learner's fit
+    of the set is taken from `fits` or made and put there, keyed by
+    (learner, local ids); the ensemble takes its three base models so and
+    is weighted by `profile` (computed by `ensemble_fit` when None)."""
+    if data is None:
+        return LocalModel(**fields, scaler=None, model=None)
+    scaler, X, y, ucp = data
     params = settings.base_params
-    profiles = {} if memo is None else memo
-    _store_profiles([(profiles, data) for _, data in local_sets], params)
-    return [LocalModel(**fields, scaler=scaler, model=ensemble_fit(
-                X, y, ucp, alpha=settings.ensemble_alpha, params=params,
-                profile=profiles.get(_profile_key(X, y, ucp)),
-                models={name: fit_shared(params, name, X, y, memo)
-                        for name in BASE_MODELS}))
-            for fields, (scaler, X, y, ucp) in local_sets]
+
+    def fit(name):
+        key = (name, fields["local_ids"])
+        if key not in fits:
+            fits[key] = params.fit_one(name, X, y)
+        return fits[key]
+
+    if fields["kind"] == "ensemble":
+        model = ensemble_fit(X, y, ucp, alpha=settings.ensemble_alpha,
+                             params=params, profile=profile,
+                             models={name: fit(name) for name in BASE_MODELS})
+    else:
+        model = fit(fields["kind"])
+    return LocalModel(**fields, scaler=scaler, model=model)
 
 
 def fit_local(training, test: Project, model: str, settings: RunSettings,
-              partitioning: Partitioning | None = None,
-              memo: dict | None = None) -> LocalModel:
+              partitioning: Partitioning | None = None) -> LocalModel:
     """Fit `model` on the test project's local set of `training`.
 
     With a partitioning, a learner's local set is the partition `assign`
     puts the test project in.  A missing partition, or one smaller than
     `local_minimum`, falls back to the full training set, with the reason.
     The baselines fit nothing and ignore locality.  The scaler is fit on
-    the local set only; `memo` shares fits between the harness's cells
-    (see `loocv_run`).
+    the local set only.
     """
     if model not in ALL_MODELS:
         raise ValueError(f"unknown model {model!r}")
     fields, data = _local_set(training, test, model, settings, partitioning)
-    if data is None:
-        return LocalModel(**fields, scaler=None, model=None)
-    if model == "ensemble":
-        return _fit_ensembles([(fields, data)], settings, memo)[0]
-    scaler, X, y, _ = data
-    return LocalModel(**fields, scaler=scaler, model=fit_shared(
-        settings.base_params, model, X, y, memo))
+    return _local_model(fields, data, settings, {})
+
+
+def _check_cells(dataset: Dataset, cells) -> None:
+    """Raise ValueError for an unknown scheme or model among the
+    (scheme, model) cells, or a dataset too small for leave-one-out."""
+    for scheme, model in cells:
+        if scheme != SCHEME_NONE and scheme not in ALL_SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        if model not in ALL_MODELS:
+            raise ValueError(f"unknown model {model!r}")
+    if len(dataset) < MIN_DATASET_SIZE:
+        raise ValueError(
+            f"LOOCV needs at least {MIN_DATASET_SIZE} projects, got {len(dataset)}")
 
 
 def loocv_run(dataset: Dataset, scheme: str, model: str,
               settings: RunSettings | None = None,
-              memo: dict | None = None) -> EvaluationReport:
+              shared: _SchemeRun | None = None) -> EvaluationReport:
     """Leave-one-out evaluation of one (scheme, model) pair.
 
     Per fold: the partitioning, the feature scaler and the model fit all see
@@ -356,36 +373,28 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
     their inner leave-one-out profiles in one `inner_error_profile` call,
     which solves an inner fit shared by several folds once.
 
-    `memo` carries work between folds and between runs: each fold's
-    partitioning, keyed on the scheme, fold seed and training projects,
-    each base-learner fit on a local set (see `fit_shared`) and each local
-    set's inner profile, keyed on its data.  Keys hold
-    their inputs exactly, so any runs whose settings agree on `base_params`
-    can share a memo and get the reports fresh memos give.  Without one,
-    the run uses its own.
+    `shared` is the scheme's `_SchemeRun` that `benchmark_all` hands to
+    each of the scheme's cells; without it, the run builds its own.
     """
     settings = settings or RunSettings()
-    if scheme != SCHEME_NONE and scheme not in ALL_SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if model not in ALL_MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    if len(dataset) < MIN_DATASET_SIZE:
-        raise ValueError(
-            f"LOOCV needs at least {MIN_DATASET_SIZE} projects, got {len(dataset)}")
-
-    memo = {} if memo is None else memo
-    runs = _fold_runs(dataset, scheme, model, settings, memo)
+    _check_cells(dataset, [(scheme, model)])
+    if shared is None:
+        shared = _SchemeRun(_fold_runs(
+            dataset, SCHEME_NONE if model in BASELINE_MODELS else scheme,
+            settings))
     if model == "ensemble":
-        local_models = _fit_ensembles(
-            [_local_set(training, test, model, settings, partitioning)
-             for training, test, partitioning in runs], settings, memo)
+        if shared.ensemble_sets is None:
+            _add_ensemble_sets([shared], settings)
+        local_sets = shared.ensemble_sets
     else:
-        local_models = [fit_local(training, test, model, settings,
-                                  partitioning, memo)
-                        for training, test, partitioning in runs]
+        local_sets = [(*_local_set(training, test, model, settings,
+                                   partitioning), None)
+                      for training, test, partitioning in shared.runs]
+    local_models = [_local_model(fields, data, settings, shared.fits, profile)
+                    for fields, data, profile in local_sets]
 
     folds = []
-    for (_, test, partitioning), local in zip(runs, local_models):
+    for (_, test, partitioning), local in zip(shared.runs, local_models):
         pdr = local.pdr(test)
         effort = pdr * test.ucp
         folds.append(FoldTrace(
@@ -434,30 +443,26 @@ def benchmark_all(dataset: Dataset, settings: RunSettings | None = None,
     no-locality runs for the learners and both baselines (see
     `grid_cells`).
 
-    Each scheme's cells share one memo, so a fold's partitioning and each
-    base-learner fit on a local set are computed once for the scheme (see
-    `loocv_run`).  Before any cell runs, the grid builds every ensemble
-    cell's local sets and computes all their inner leave-one-out profiles
-    in one `inner_error_profile` call, so an inner problem that cells of
-    different schemes share is solved once.  Each ensemble cell then finds
-    its profiles in its scheme's memo.
+    The dataset and every cell are checked before any work.  Each scheme's
+    fold partitionings are built once, and its cells share them and each
+    base-learner fit of a local set (see `_SchemeRun`); a scheme's fits are
+    dropped once its cells have run.  Before any cell runs, the grid builds
+    every ensemble cell's local sets and computes all their inner
+    leave-one-out profiles in one `inner_error_profile` call, so an inner
+    problem that cells of different schemes share is solved once.
     """
     settings = settings or RunSettings()
     cells = grid_cells(schemes, models)
-    memos = {scheme: {} for scheme, _ in cells}
-    ensemble_sets = []
-    for scheme, model in cells:
-        if model == "ensemble":
-            for training, test, partitioning in _fold_runs(
-                    dataset, scheme, model, settings, memos[scheme]):
-                _, data = _local_set(training, test, model, settings,
-                                     partitioning)
-                ensemble_sets.append((memos[scheme], data))
-    _store_profiles(ensemble_sets, settings.base_params)
+    _check_cells(dataset, cells)
+    scheme_runs = {
+        scheme: _SchemeRun(_fold_runs(dataset, scheme, settings))
+        for scheme in dict.fromkeys(scheme for scheme, _ in cells)}
+    _add_ensemble_sets([scheme_runs[scheme] for scheme, model in cells
+                        if model == "ensemble"], settings)
 
     reports = []
-    for scheme in list(memos):
-        memo = memos.pop(scheme)
-        reports += [loocv_run(dataset, scheme, model, settings, memo)
+    for scheme in list(scheme_runs):
+        run = scheme_runs.pop(scheme)
+        reports += [loocv_run(dataset, scheme, model, settings, run)
                     for cell_scheme, model in cells if cell_scheme == scheme]
     return reports

@@ -261,16 +261,16 @@ class TestBenchmarkAll:
             assert a.metrics == b.metrics
 
     def test_cells_equal_standalone_runs(self, data20):
-        # a scheme's cells share one memo of fold partitionings and
-        # base-learner fits; every cell must still equal its own loocv_run
+        # a scheme's cells share its fold partitionings and base-learner
+        # fits; every cell must still equal its own loocv_run
         settings = RunSettings(seed=3)
         for report in benchmark_all(data20, settings):
             assert report == loocv_run(data20, report.scheme, report.model,
                                        settings)
 
     def test_ensemble_first_equals_standalone_runs(self, data20):
-        # a shared fit is handed to the first later cell that asks and then
-        # dropped, so results must not depend on which cell fits first
+        # a scheme's cells share each fit of a local set, so results must
+        # not depend on which cell fits it first
         settings = RunSettings(seed=3)
         reports = benchmark_all(
             data20, settings, schemes=["e1", "kmeans", "none"],
@@ -279,23 +279,6 @@ class TestBenchmarkAll:
         for report in reports:
             assert report == loocv_run(data20, report.scheme, report.model,
                                        settings)
-
-    def test_shared_memo_keys_are_exact(self, data20):
-        # generate_synthetic numbers its projects the same way for every
-        # seed, so `other` shares data20's ids but not its values, and
-        # `rescaled` shares its size features but not its PDRs
-        other = generate_synthetic(6, 20)
-        assert other.ids() == data20.ids()
-        rescaled = Dataset(tuple(replace(p, effort=1.5 * p.effort)
-                                 for p in data20))
-        memo = {}
-        for dataset, seed in ((data20, 3), (other, 3), (rescaled, 3),
-                              (data20, 4)):
-            settings = RunSettings(seed=seed)
-            for scheme, model in (("kmeans", "svr"), ("kmeans", "ensemble"),
-                                  ("e2", "cart"), ("none", "stepwise")):
-                assert loocv_run(dataset, scheme, model, settings, memo) \
-                    == loocv_run(dataset, scheme, model, settings)
 
     def test_grid_fits_each_local_set_once(self, data20, monkeypatch):
         # outside the ensemble's inner leave-one-out, a fold fits each
@@ -329,6 +312,61 @@ class TestBenchmarkAll:
         track(BaseModelParams, "fit_one", count)
         assert len(benchmark_all(data20, RunSettings(seed=3))) == 42
         assert fits and max(fits.values()) == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    def test_small_dataset_rejected_before_any_work(self, data20, n,
+                                                    monkeypatch):
+        def refuse(*args):
+            raise AssertionError("partitioned before validating")
+
+        for name in ("partition_by_factor", "partition_each_by_kmeans"):
+            monkeypatch.setattr(evaluation, name, refuse)
+        small = data20.subset(data20.ids()[:n])
+        for run in (lambda: benchmark_all(small),
+                    lambda: benchmark_all(small, schemes=["none"]),
+                    lambda: loocv_run(small, "kmeans", "ensemble")):
+            with pytest.raises(ValueError,
+                               match="LOOCV needs at least 10 projects"):
+                run()
+        with pytest.raises(ValueError, match="unknown scheme"):
+            benchmark_all(data20, schemes=["e1", "e9"])
+
+    def test_grid_partitions_each_scheme_once(self, data20, monkeypatch):
+        calls = Counter()
+
+        def count(name):
+            original = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(evaluation, name, wrapper)
+
+        count("partition_by_factor")
+        count("partition_each_by_kmeans")
+        assert len(benchmark_all(data20, RunSettings(seed=3))) == 42
+        assert calls == {"partition_each_by_kmeans": 1,
+                         "partition_by_factor": 8 * len(data20)}
+        calls.clear()
+        benchmark_all(data20, RunSettings(seed=3), schemes=["e2", "none"])
+        assert calls == {"partition_by_factor": len(data20)}
+
+    def test_grid_builds_each_local_set_once(self, data20, monkeypatch):
+        # an ensemble fold's local set is built once, for the grid's inner
+        # batch, and its cell fits on that same set
+        models = Counter()
+        local_set = evaluation._local_set
+
+        def counting_local_set(training, test, model, *args):
+            models[model] += 1
+            return local_set(training, test, model, *args)
+
+        monkeypatch.setattr(evaluation, "_local_set", counting_local_set)
+        cells = Counter(r.model for r in benchmark_all(data20,
+                                                       RunSettings(seed=3)))
+        assert sum(cells.values()) == 42
+        assert models == {model: count * len(data20)
+                          for model, count in cells.items()}
 
     def test_filters(self, data20):
         reports = benchmark_all(data20, RunSettings(), schemes=["e2"],
