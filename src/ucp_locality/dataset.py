@@ -201,7 +201,8 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
     as RowError with the offending data row number (header is row 1).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark a spreadsheet's UTF-8 export writes
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

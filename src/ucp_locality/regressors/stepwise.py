@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from ..preprocess import normality_check
+from ..stats import t_two_sided_p
 from .base import loo_folds, loo_train_rows, training_arrays
 
 ALPHA_REMOVE = 0.05
@@ -96,7 +96,7 @@ def _t_test_p_values(gram: np.ndarray, coefs: np.ndarray, rss: np.ndarray,
     se = np.sqrt(np.maximum(variance, 0.0))
     t = np.zeros_like(coefs)
     np.divide(coefs, se, out=t, where=se > 0)
-    return 2.0 * stdtr(dof, -np.abs(t)), singular
+    return t_two_sided_p(t, dof), singular
 
 
 def _vif_drop(Z: np.ndarray, active: list[int]) -> int:

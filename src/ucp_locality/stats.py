@@ -1,15 +1,79 @@
 """Descriptive statistics, rank correlation and confidence-interval data for
-the per-factor productivity analysis, and the effort accuracy metrics."""
+the per-factor productivity analysis, the effort accuracy metrics, and the
+Student-t tail and normal CDF that the fitting path uses.  scipy is loaded
+only by `ci95_mean`, so fitting and predicting never import it."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
 
 from .dataset import FACTOR_MAX, FACTOR_MIN, Dataset
+
+_SQRT1_2 = math.sqrt(0.5)
+# |t| is capped here so that t = +-inf needs no special case
+_T_CAP = 1e300
+
+
+@cache
+def _t_series(dof: int) -> tuple[float, ...]:
+    """Coefficients of the dof // 2 powers of cos^2(theta) in the t-tail
+    series: running products of (2j)/(2j+1) for odd dof, (2j-1)/(2j) for
+    even dof."""
+    odd = dof % 2
+    coefs, c = [], 1.0
+    for j in range(dof // 2):
+        coefs.append(c)
+        c *= (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    return tuple(coefs)
+
+
+def t_two_sided_p(t, dof: int) -> np.ndarray:
+    """Two-sided Student-t tail P(|T| > |t|) on an integer `dof` >= 1,
+    elementwise over any shape; t = 0 gives 1 and t = +-inf gives 0.
+
+    The finite series of Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4
+    (even dof) give P(|T| <= |t|) from theta = atan(|t| / sqrt(dof)); the
+    series in cos^2(theta) is evaluated by Horner's rule over the whole
+    array.  The absolute error is about 1e-15 (7e-15 at dof 300), so the
+    relative error grows as the tail shrinks (about 1e-9 at 1e-6).  Only
+    elementwise arithmetic is used, so each value is the same bit for bit
+    whatever array it comes in.
+    """
+    if dof < 1:
+        raise ValueError(f"dof must be at least 1, got {dof}")
+    a = np.minimum(np.abs(t), _T_CAP)
+    root = math.sqrt(dof)
+    coefs = _t_series(dof)
+    r = np.hypot(root, a)
+    sin, cos = a / r, root / r
+    z = cos * cos
+    series = 1.0
+    if len(coefs) > 1:
+        series = z * coefs[-1]
+        for c in coefs[-2:0:-1]:
+            series += c
+            series *= z
+        series += 1.0
+    if dof % 2:
+        inside = np.arctan2(a, root)
+        if coefs:
+            inside += sin * cos * series
+        inside *= 2.0 / math.pi
+    else:
+        inside = sin * series
+    return 1.0 - np.minimum(inside, 1.0)
+
+
+def normal_cdf(x) -> np.ndarray:
+    """Standard normal CDF, elementwise over any shape, from `math.erfc`."""
+    arr = np.asarray(x, dtype=float)
+    cdf = np.array(list(map(math.erfc, (arr * -_SQRT1_2).ravel().tolist())))
+    cdf *= 0.5
+    return cdf.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -91,7 +155,7 @@ def spearman(x: np.ndarray, y: np.ndarray) -> SpearmanResult:
     if abs(r) == 1.0:
         return SpearmanResult(r, 0.0, n)
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(stdtr(n - 2, -abs(t)))
+    p = float(t_two_sided_p(t, n - 2))
     return SpearmanResult(r, p, n)
 
 
@@ -102,6 +166,8 @@ def ci95_mean(values: np.ndarray) -> tuple[float, float] | None:
     n = arr.size
     if n < 2:
         return None
+    # the one scipy use; only the per-factor analysis (rq1) reaches it
+    from scipy.special import stdtrit
     half = float(stdtrit(n - 1, 0.975) * arr.std(ddof=1)) / math.sqrt(n)
     mean = float(arr.mean())
     return (mean - half, mean + half)

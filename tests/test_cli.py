@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+
+import ucp_locality
 
 from ucp_locality.cli import main
 from ucp_locality.dataset import (
@@ -26,6 +33,12 @@ class TestValidate:
     def test_clean_file(self, data_csv, capsys):
         assert main(["validate", "--data", data_csv]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_byte_order_mark_accepted(self, data_csv, tmp_path, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + open(data_csv, "rb").read())
+        assert main(["validate", "--data", str(bom)]) == 0
+        assert capsys.readouterr().out.startswith("OK: 24 projects")
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--data", "/nonexistent.csv"]) == 1
@@ -353,3 +366,56 @@ class TestPredictMatchesHarness:
                 "--env", ",".join(str(e) for e in test.env)]) == 0
             out = capsys.readouterr().out.splitlines()
             assert f"pdr: {fold.pdr_pred!r}" in out, (i, out)
+
+
+class TestScipyImports:
+    """scipy is loaded only by rq1's confidence intervals: importing the
+    package and running the fit and predict paths never loads it."""
+
+    BASE = TestPredict.BASE
+
+    def _fresh_run(self, tmp_path, argvs):
+        """Exit codes of `argvs`, run in a fresh interpreter on a small
+        synthetic set, and the scipy modules loaded by the end."""
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import ucp_locality
+            import ucp_locality.cli
+            from ucp_locality.dataset import generate_synthetic, save_dataset
+            save_dataset(generate_synthetic(5, 24), "data.csv")
+            codes = []
+            for argv in json.loads(sys.argv[1]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(ucp_locality.cli.main(argv))
+            print(json.dumps([codes, sorted(
+                m for m in sys.modules if m.split(".")[0] == "scipy")]))
+        """)
+        src = str(Path(ucp_locality.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_fit_and_predict_paths_do_not_load_scipy(self, tmp_path):
+        data = ["--data", "data.csv"]
+        codes, loaded = self._fresh_run(tmp_path, [
+            ["synth", "--n", "24", "--out", "synth.csv"],
+            ["validate"] + data,
+            ["predict"] + data + ["--scheme", "kmeans", "--model", "ensemble",
+                                  "--save-model", "model.json"] + self.BASE,
+            ["predict", "--model-file", "model.json"] + self.BASE,
+            ["benchmark"] + data + ["--out", "e1", "--scheme", "e1",
+                                    "--model", "ensemble"],
+            ["benchmark"] + data + ["--out", "km", "--scheme", "kmeans",
+                                    "--model", "stepwise"],
+            ["stats"] + data + ["--out", "stats"],
+        ])
+        assert codes == [0] * 7
+        assert loaded == []
+
+    def test_rq1_loads_scipy(self, tmp_path):
+        codes, loaded = self._fresh_run(
+            tmp_path, [["rq1", "--data", "data.csv", "--out", "rq1"]])
+        assert codes == [0]
+        assert "scipy.special" in loaded

@@ -133,6 +133,17 @@ class TestLoadSave:
         save_dataset(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        d = generate_synthetic(3, 25)
+        plain = tmp_path / "plain.csv"
+        save_dataset(d, plain)
+        crlf = plain.read_bytes()
+        path = tmp_path / "bom.csv"
+        for text in (crlf, crlf.replace(b"\r\n", b"\n")):
+            path.write_bytes(b"\xef\xbb\xbf" + text)
+            assert load_dataset(path, name=d.name) == d
+
     def test_missing_column_named(self, tmp_path):
         cols = [c for c in CSV_COLUMNS if c != "e7"]
         path = self._write(tmp_path, ",".join(cols) + "\n")

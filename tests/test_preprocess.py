@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from ucp_locality.preprocess import (
     minmax_apply,
@@ -179,6 +179,35 @@ class TestNormalityCheck:
             res = normality_check(rng.standard_normal(n))
             assert res.critical_value == want
             assert res.is_normal == (res.statistic <= want)
+
+    def test_verdicts_equal_a_scipy_reimplementation(self, rng):
+        def scipy_verdict(values):
+            arr = np.sort(values)
+            n = arr.size
+            critical = 0.895 / (math.sqrt(n) - 0.01 + 0.85 / math.sqrt(n))
+            cdf = ndtr((arr - arr.mean()) / arr.std(ddof=1))
+            steps = np.arange(1, n + 1) / n
+            statistic = max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n)))
+            return statistic <= critical, statistic
+
+        draws = (lambda n: rng.normal(3.0, 2.0, n),
+                 lambda n: rng.lognormal(0.0, rng.uniform(0.1, 1.2), n),
+                 lambda n: rng.uniform(1.0, 5.0, n),
+                 lambda n: rng.integers(0, rng.integers(2, 5), n) + 1.0)
+        checked = normal = 0
+        for _ in range(600):
+            for draw in draws:
+                x = draw(int(rng.integers(5, 111)))
+                if x.min() == x.max():
+                    continue
+                want, statistic = scipy_verdict(x)
+                res = normality_check(x)
+                assert res.is_normal == want
+                assert res.statistic == pytest.approx(statistic, abs=1e-15)
+                checked += 1
+                normal += want
+        assert checked >= 2000
+        assert 0 < normal < checked
 
     def test_verdict_flips_at_the_critical_value(self):
         # normal quantiles blended toward a skewed sample: the statistic

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import ndtr, stdtr
 
 from ucp_locality.stats import (
     ci95_mean,
     interval_plot_data,
     level_counts,
     moments,
+    normal_cdf,
     spearman,
+    t_two_sided_p,
 )
 
 from conftest import make_dataset, make_project
@@ -84,6 +87,61 @@ class TestSpearman:
             spearman([1, 1, 1], [1, 2, 3])
         with pytest.raises(ValueError):
             spearman([1, 2], [3, 4])
+
+
+class TestTTail:
+    def test_matches_scipy(self):
+        t = np.concatenate([np.geomspace(1e-3, 50, 400), -np.geomspace(1e-3, 50, 7)])
+        for dof in range(1, 301):
+            want = 2.0 * stdtr(dof, -np.abs(t))
+            assert np.max(np.abs(t_two_sided_p(t, dof) - want)) <= 1e-13, dof
+
+    def test_closed_forms_at_tiny_t(self):
+        # scipy is no oracle here: 2 * stdtr(1, -1e-8) is off by 3e-9
+        for t in (1e-300, 1e-12, 1e-8, -1e-8, 1e-6, 1e-4):
+            a = abs(t)
+            assert abs(float(t_two_sided_p(t, 1))
+                       - (1.0 - 2.0 / math.pi * math.atan(a))) <= 1e-15
+            assert abs(float(t_two_sided_p(t, 2))
+                       - (1.0 - a / math.sqrt(2.0 + a * a))) <= 1e-15
+
+    def test_edge_values(self):
+        for dof in (1, 2, 3, 4, 7, 30, 101):
+            assert float(t_two_sided_p(0.0, dof)) == 1.0
+            assert float(t_two_sided_p(-0.0, dof)) == 1.0
+            assert float(t_two_sided_p(np.inf, dof)) == 0.0
+            assert float(t_two_sided_p(-np.inf, dof)) == 0.0
+            assert float(t_two_sided_p(1e300, dof)) == 0.0
+        with pytest.raises(ValueError, match="dof"):
+            t_two_sided_p(1.0, 0)
+
+    def test_outputs_in_unit_interval_and_shape_kept(self, rng):
+        t = np.concatenate([rng.standard_cauchy(500) * 10.0 ** rng.integers(-8, 9, 500),
+                            [0.0, np.inf, -np.inf, 1e308]]).reshape(2, 2, 126)
+        for dof in (1, 2, 3, 8, 33, 300):
+            p = t_two_sided_p(t, dof)
+            assert p.shape == t.shape
+            assert np.all((p >= 0.0) & (p <= 1.0))
+        assert t_two_sided_p(np.empty((0, 3)), 5).shape == (0, 3)
+
+    def test_each_value_independent_of_its_array(self, rng):
+        t = rng.normal(0, 4, (64, 5))
+        for dof in (1, 2, 5, 36):
+            stacked = t_two_sided_p(t, dof)
+            alone = [float(t_two_sided_p(v, dof)) for v in t.ravel()]
+            assert stacked.ravel().tolist() == alone
+
+
+class TestNormalCdf:
+    def test_matches_scipy(self):
+        x = np.concatenate([np.linspace(-40, 40, 80001), [0.0, -0.0, np.inf, -np.inf]])
+        assert np.max(np.abs(normal_cdf(x) - ndtr(x))) <= 1e-15
+
+    def test_shape_kept(self):
+        assert normal_cdf(np.zeros((2, 3))).tolist() == [[0.5] * 3] * 2
+        assert normal_cdf(np.empty(0)).shape == (0,)
+        assert normal_cdf(1.0).shape == ()
+        assert float(normal_cdf(1.0)) == pytest.approx(0.8413447460685429, abs=1e-15)
 
 
 class TestCi95:

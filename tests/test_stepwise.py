@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from scipy.special import stdtr
 
 from ucp_locality.preprocess import minmax_apply, minmax_fit, normality_check
 from ucp_locality.regressors import stepwise_fit, stepwise_predict
 from ucp_locality.regressors.base import model_from_dict
 from ucp_locality.regressors.stepwise import StepwiseModel, stepwise_fit_loo
+from ucp_locality.stats import t_two_sided_p
 
 
 def normal_equations(design, y):
@@ -81,7 +81,7 @@ def loop_stepwise_fit(X, y, seen):
             se = np.sqrt(np.maximum(rss / (n - p) * np.diag(xtx_inv), 0.0))
             for j in range(p):
                 t = coefs[j] / se[j] if se[j] > 0 else 0.0
-                p_values[j] = 2.0 * float(stdtr(n - p, -abs(t)))
+                p_values[j] = float(t_two_sided_p(t, n - p))
         feature_p = p_values[1:]
         worst = int(np.argmax(feature_p))
         if feature_p[worst] > 0.05:
