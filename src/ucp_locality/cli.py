@@ -39,7 +39,9 @@ from .plots import svg_bar_chart, svg_histogram, svg_interval_plot
 from .preprocess import DEFAULT_Z_THRESHOLD, remove_outliers, zscore_outliers
 from .report import (
     benchmark_files,
+    csv_text,
     intervals_to_csv,
+    json_text,
     moments_table,
     spearman_table,
 )
@@ -246,8 +248,7 @@ def cmd_benchmark(args) -> int:
     report = zscore_outliers(dataset, threshold=args.z_threshold)
     cleaned = remove_outliers(dataset, report)
     (out / "outliers.csv").write_text(
-        "id,flagged,max_abs_z\n"
-        + "".join(f"{r[0]},{r[1]},{r[2]}\n" for r in report.to_csv_rows()))
+        csv_text(("id", "flagged", "max_abs_z"), report.to_csv_rows()))
 
     reports = benchmark_all(cleaned, settings, schemes=schemes, models=models)
 
@@ -263,7 +264,7 @@ def cmd_benchmark(args) -> int:
         "settings": settings.to_dict(),
         "runs": [[r.scheme, r.model] for r in reports],
     }
-    (out / "run.json").write_text(json.dumps(run_info, indent=2, sort_keys=True) + "\n")
+    (out / "run.json").write_text(json_text(run_info))
     print(f"seed {settings.seed}: removed {len(report.flagged_ids)} outlier(s), "
           f"ran {len(reports)} evaluations, reports in {out}")
     return EXIT_OK
@@ -310,6 +311,8 @@ def _fit_local(args, project: Project) -> LocalModel:
 def cmd_predict(args) -> int:
     if (args.data is None) == (args.model_file is None):
         raise _fail("provide exactly one of --data or --model-file")
+    if args.save_model and not args.data:
+        raise _fail("--save-model needs --data: it saves the model fitted on it")
     project = _project_from_args(args)
 
     if args.model_file:
@@ -323,8 +326,7 @@ def cmd_predict(args) -> int:
     else:
         local = _fit_local(args, project)
         if args.save_model:
-            Path(args.save_model).write_text(
-                json.dumps(local.to_dict(), indent=2, sort_keys=True) + "\n")
+            Path(args.save_model).write_text(json_text(local.to_dict()))
 
     pdr = local.pdr(project)
     ucp = compute_ucp(args.uaw, args.uucw, args.tcf, args.ef)

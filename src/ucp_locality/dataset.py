@@ -196,9 +196,10 @@ def _parse_score(raw: str, column: str, row: int) -> int:
 def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
     """Load and validate a dataset from CSV.
 
-    Header must be exactly the schema columns; any missing or extra column
-    is a SchemaError naming the column.  Invariant violations are reported
-    as RowError with the offending data row number (header is row 1).
+    Header must be exactly the schema columns, each once; any missing,
+    extra or repeated column is a SchemaError naming the column.  Invariant
+    violations are reported as RowError with the offending data row number
+    (header is row 1).
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark a spreadsheet's UTF-8 export writes
@@ -214,6 +215,9 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
             raise SchemaError(f"{path}: missing column(s) {missing}")
         if extra:
             raise SchemaError(f"{path}: unexpected column(s) {extra}")
+        repeated = list(dict.fromkeys(c for c in header if header.count(c) > 1))
+        if repeated:
+            raise SchemaError(f"{path}: repeated column(s) {repeated}")
         col = {c: header.index(c) for c in CSV_COLUMNS}
 
         projects = []

@@ -171,6 +171,24 @@ class TestBenchmark:
         assert "selects no cell" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme,model,tables", [
+        ("all", "all", ["table4.md", "table5.md"]),
+        ("none", "all", ["table5.md"]),
+        ("all", "svr", ["table4.md", "table5.md"])])
+    def test_markdown_rows_match_header(self, data_csv, tmp_path, scheme,
+                                        model, tables):
+        out = tmp_path / "md"
+        assert main(["benchmark", "--data", data_csv, "--out", str(out),
+                     "--scheme", scheme, "--model", model,
+                     "--format", "md"]) == 0
+        assert sorted(p.name for p in out.glob("*.md")) == tables
+        for name in tables:
+            lines = (out / name).read_text().splitlines()
+            assert lines[:2] == ["seed: 42", ""]
+            # header, divider and rows: one more bar than cells in each
+            bars = [line.count("|") for line in lines[2:]]
+            assert len(bars) > 2 and set(bars) == {bars[0]}, name
+
     def test_full_grid_shape(self, tmp_path):
         data = tmp_path / "grid.csv"
         save_dataset(generate_synthetic(3, 20), data)
@@ -326,6 +344,17 @@ class TestPredict:
         assert main(["predict"] + self.BASE) == 1
         assert main(["predict", "--data", data_csv, "--model-file", "x.json"]
                     + self.BASE) == 1
+
+    def test_save_model_needs_data(self, data_csv, tmp_path, capsys):
+        # a loaded artifact is not refitted, so there is nothing to save
+        artifact, copy = tmp_path / "m1.json", tmp_path / "m2.json"
+        assert main(["predict", "--data", data_csv, "--model", "karner",
+                     "--save-model", str(artifact)] + self.BASE) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model-file", str(artifact),
+                     "--save-model", str(copy)] + self.BASE) == 1
+        assert "--save-model needs --data" in capsys.readouterr().err
+        assert not copy.exists()
 
     def test_invalid_env_rejected(self, data_csv):
         assert main(["predict", "--data", data_csv, "--uaw", "10",

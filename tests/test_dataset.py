@@ -155,6 +155,17 @@ class TestLoadSave:
         with pytest.raises(SchemaError, match="bogus"):
             load_dataset(path)
 
+    def test_repeated_column_named(self, tmp_path):
+        # a second `effort` column must not be dropped in favour of the first
+        plain = tmp_path / "plain.csv"
+        save_dataset(generate_synthetic(1, 12), plain)
+        lines = plain.read_text().splitlines()
+        text = "".join(f"{line},{'effort' if i == 0 else '1.0'}\n"
+                       for i, line in enumerate(lines))
+        path = self._write(tmp_path, text)
+        with pytest.raises(SchemaError, match=r"repeated column\(s\) \['effort'\]"):
+            load_dataset(path)
+
     def test_zero_effort_cites_row(self, tmp_path):
         good = "p1,industrial,10,100,1.0,1.0,3,3,3,3,3,3,3,3,2000\n"
         bad = "p2,industrial,10,100,1.0,1.0,3,3,3,3,3,3,3,3,0\n"

@@ -18,6 +18,12 @@ Three sets are recorded, all with default settings:
   `table5.csv` and the SHA-256 of the 52 trace and weights CSVs in
   `n108/MANIFEST.sha256`.  Acceptance criterion 12 checks it on the grid
   it already runs for its time budget.
+- `grid/` also holds the same grid's tables as `table4.json`,
+  `table5.json`, `table4.md` and `table5.md`, from `benchmark --format
+  json` and `--format md`.
+- `stats/` and `rq1/`: on the same `generate_synthetic(1, 40)` file,
+  `moments` and `spearman` from `stats` in csv, json and md, and the eight
+  `intervals_e*.csv` from `rq1`.
 
 A refactor or speed-up must leave all of them unchanged.
 
@@ -40,13 +46,27 @@ the commands below and copying the outputs over the old files:
     cp n108/table4.csv n108/table5.csv tests/golden/n108/
     (cd n108 && sha256sum traces/*.csv) > tests/golden/n108/MANIFEST.sha256
 
+    ucp-locality synth --seed 1 --n 40 --out d.csv
+    for f in json md; do
+        ucp-locality benchmark --data d.csv --format $f --out grid_$f
+        cp grid_$f/table4.$f grid_$f/table5.$f tests/golden/grid/
+    done
+    for f in csv json md; do
+        ucp-locality stats --data d.csv --format $f --out stats_$f
+        cp stats_$f/moments.$f stats_$f/spearman.$f tests/golden/stats/
+    done
+    ucp-locality rq1 --data d.csv --out rq1
+    cp rq1/intervals_e*.csv tests/golden/rq1/
+
 The data file must be named `d.csv`: `run.json` records its stem as the
 dataset name.  Say in CHANGES.md which numbers changed and why.
 
 The recorded bytes depend on the numpy and BLAS build: floats are written
 with their shortest round-trip repr, so a build whose sums or products
 round differently in the last bit changes them.  Re-record on a new build
-only after checking that the tables agree to rounding.
+only after checking that the tables agree to rounding.  The `rq1`
+confidence intervals also depend on the scipy build, through its
+Student-t quantile `stdtrit`.
 """
 
 import hashlib
@@ -100,3 +120,35 @@ def test_full_grid_equals_golden(tmp_path):
     assert len((golden / "MANIFEST.sha256").read_text().splitlines()) == 54
     assert_equals_golden({p.relative_to(out).as_posix(): p.read_bytes()
                           for p in out.rglob("*") if p.is_file()}, golden)
+
+
+@pytest.fixture(scope="module")
+def d40(tmp_path_factory):
+    path = tmp_path_factory.mktemp("d40") / "d.csv"
+    save_dataset(generate_synthetic(1, 40), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_full_grid_tables_equal_golden(fmt, d40, tmp_path):
+    out = tmp_path / "grid"
+    assert main(["benchmark", "--data", d40, "--format", fmt,
+                 "--out", str(out)]) == 0
+    for name in (f"table4.{fmt}", f"table5.{fmt}"):
+        assert (out / name).read_bytes() == (GOLDEN / "grid" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_stats_equal_golden(fmt, d40, tmp_path):
+    assert main(["stats", "--data", d40, "--format", fmt,
+                 "--out", str(tmp_path)]) == 0
+    for name in (f"moments.{fmt}", f"spearman.{fmt}"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "stats" / name).read_bytes(), name
+
+
+def test_rq1_intervals_equal_golden(d40, tmp_path):
+    assert main(["rq1", "--data", d40, "--out", str(tmp_path)]) == 0
+    expected = sorted(p.name for p in (GOLDEN / "rq1").glob("*.csv"))
+    assert expected == [f"intervals_e{i}.csv" for i in range(1, 9)]
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "rq1" / name).read_bytes(), name
