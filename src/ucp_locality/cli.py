@@ -79,10 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add_common(p, out_required=True):
+    def add_common(p):
         p.add_argument("--data", required=True, help="dataset CSV path")
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--format", choices=("csv", "json", "md"),
                        default="csv", help="report format")
 
@@ -93,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("rq1", help="per-factor interval plots and level charts")
-    add_common(p)
+    p.add_argument("--data", required=True, help="dataset CSV path")
+    p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("benchmark", help="full locality/model accuracy grid")
     add_common(p)
@@ -129,18 +129,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_options(p) -> None:
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--svr-c", type=float, default=1.0)
-    p.add_argument("--svr-eps", type=float, default=0.1)
-    p.add_argument("--svr-gamma", type=float, default=None,
+    run = RunSettings()
+    base = run.base_params
+    p.add_argument("--seed", type=int, default=run.seed)
+    p.add_argument("--svr-c", type=float, default=base.svr_c)
+    p.add_argument("--svr-eps", type=float, default=base.svr_epsilon)
+    p.add_argument("--svr-gamma", type=float, default=base.svr_gamma,
                    help="RBF width (default: auto)")
-    p.add_argument("--cart-min-split", type=int, default=8)
-    p.add_argument("--cart-min-leaf", type=int, default=4)
-    p.add_argument("--cart-max-depth", type=int, default=6)
-    p.add_argument("--alpha", type=float, default=15.0,
+    p.add_argument("--cart-min-split", type=int, default=base.cart_min_split)
+    p.add_argument("--cart-min-leaf", type=int, default=base.cart_min_leaf)
+    p.add_argument("--cart-max-depth", type=int, default=base.cart_max_depth)
+    p.add_argument("--alpha", type=float, default=run.ensemble_alpha,
                    help="ensemble sigmoid scaling")
     p.add_argument("--z-threshold", type=float, default=DEFAULT_Z_THRESHOLD)
-    p.add_argument("--min-local", type=int, default=5)
+    p.add_argument("--min-local", type=int, default=run.min_local)
 
 
 def _settings_from_args(args) -> RunSettings:

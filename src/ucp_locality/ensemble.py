@@ -13,13 +13,14 @@ from functools import partial
 import numpy as np
 
 from .dataset import N_FACTORS, validate_factor_score
+from .regressors.cart import DEFAULT_MAX_DEPTH, DEFAULT_MIN_LEAF, DEFAULT_MIN_SPLIT
 from .regressors.cart import cart_fit, cart_fit_loo
 from .regressors.base import loo_folds, loo_train_rows
 from .regressors.stepwise import ALPHA_REMOVE as STEPWISE_ALPHA
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
 from .regressors.stepwise import stepwise_fit, stepwise_fit_loo
 from .regressors.svr import TOL as SVR_TOL
-from .regressors.svr import svr_fit, svr_fit_loo
+from .regressors.svr import DEFAULT_C, DEFAULT_EPSILON, svr_fit, svr_fit_loo
 from .stats import mae, mbre, mibre
 
 DEFAULT_ALPHA = 15.0
@@ -94,12 +95,12 @@ class BaseModelParams:
     tolerance and stepwise's removal level are the learners' fixed
     defaults."""
 
-    svr_c: float = 1.0
-    svr_epsilon: float = 0.1
+    svr_c: float = DEFAULT_C
+    svr_epsilon: float = DEFAULT_EPSILON
     svr_gamma: float | None = None        # None = auto
-    cart_min_split: int = 8
-    cart_min_leaf: int = 4
-    cart_max_depth: int = 6
+    cart_min_split: int = DEFAULT_MIN_SPLIT
+    cart_min_leaf: int = DEFAULT_MIN_LEAF
+    cart_max_depth: int = DEFAULT_MAX_DEPTH
 
     def fit_one(self, kind: str, X: np.ndarray, y: np.ndarray):
         if kind == "svr":

@@ -15,6 +15,7 @@ from .dataset import Dataset, Project
 from .ensemble import (
     BASE_MODELS,
     BaseModelParams,
+    DEFAULT_ALPHA,
     KARNER_PDR,
     PDR_FLOOR,
     WeightBreakdown,
@@ -60,12 +61,12 @@ _MODEL_MIN_TRAIN = {
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Hyperparameters and seeds for a benchmark run; defaults match the
-    documented per-module defaults."""
+    """Hyperparameters and seeds for a benchmark run; the defaults are the
+    per-module defaults, and the CLI's options default to these."""
 
     seed: int = 42
     min_local: int = DEFAULT_MIN_LOCAL
-    ensemble_alpha: float = 15.0
+    ensemble_alpha: float = DEFAULT_ALPHA
     base_params: BaseModelParams = field(default_factory=BaseModelParams)
     # record full partition membership in each fold trace (for structural
     # leak checks; off by default to keep reports small)

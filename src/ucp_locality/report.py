@@ -12,6 +12,7 @@ Every table is written by one of three helpers: `csv_text`, `md_text` and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .evaluation import (
@@ -171,12 +172,14 @@ CORRELATION_VARIABLES = ("uaw", "uucw", "tcf", "ef")
 
 def _variable_table(rows, fields, titles, digits: int, fmt: str) -> str:
     """One line per (variable, result) pair in `rows`, with the result's
-    `fields`; Markdown shows them under `titles`, rounded to `digits`."""
+    `fields`; Markdown shows them under `titles`, rounded to `digits`, and
+    JSON writes a nan as null."""
     values = [(name, [getattr(res, f) for f in fields]) for name, res in rows]
     if fmt == "csv":
         return csv_text(["variable", *fields], ([n, *v] for n, v in values))
     if fmt == "json":
-        return json_text({n: dict(zip(fields, v)) for n, v in values})
+        return json_text({n: {f: None if math.isnan(x) else x
+                              for f, x in zip(fields, v)} for n, v in values})
     if fmt == "md":
         return md_text(["Variable", *titles],
                        ([n, *(f"{x:.{digits}f}" for x in v)] for n, v in values))

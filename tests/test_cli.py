@@ -10,16 +10,18 @@ import pytest
 
 import ucp_locality
 
-from ucp_locality.cli import main
+from ucp_locality.cli import _settings_from_args, build_parser, main
 from ucp_locality.dataset import (
     CSV_COLUMNS,
     Dataset,
     generate_synthetic,
     save_dataset,
 )
-from ucp_locality.evaluation import ALL_MODELS, loocv_run
+from ucp_locality.evaluation import ALL_MODELS, RunSettings, loocv_run
 from ucp_locality.locality import derive_seed
 from ucp_locality.preprocess import remove_outliers, zscore_outliers
+
+from conftest import make_dataset, make_project
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +100,29 @@ class TestStats:
         for name in ("moments.csv", "spearman.csv", "pdr_histogram.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_json_writes_undefined_statistic_as_null(self, tmp_path):
+        # three projects: the kurtosis estimator needs four values
+        data = tmp_path / "three.csv"
+        save_dataset(make_dataset([
+            make_project(f"p{i}", uaw=5.0 + 3 * i, uucw=50.0 + 20 * i * i,
+                         tcf=0.8 + 0.1 * i, ef=1.1 - 0.1 * i,
+                         effort=1500.0 + 700 * i * i) for i in range(3)]), data)
+        out = tmp_path / "stats"
+        assert main(["stats", "--data", str(data), "--out", str(out),
+                     "--format", "json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        for name in ("moments.json", "spearman.json"):
+            json.loads((out / name).read_text(), parse_constant=reject)
+        moments = json.loads((out / "moments.json").read_text())
+        assert {row["kurtosis"] for row in moments.values()} == {None}
+        # CSV keeps the nan
+        assert main(["stats", "--data", str(data), "--out",
+                     str(tmp_path / "csv")]) == 0
+        assert ",nan\n" in (tmp_path / "csv" / "moments.csv").read_text()
+
 
 class TestRq1:
     def test_file_enumeration(self, data_csv, tmp_path):
@@ -118,6 +143,13 @@ class TestRq1:
                 mean = float(parts[2])
                 if parts[5] == "true":
                     assert float(parts[3]) <= mean <= float(parts[4])
+
+    def test_has_no_format_option(self, data_csv, tmp_path, capsys):
+        # rq1 writes its interval tables as CSV only
+        assert main(["rq1", "--data", data_csv, "--out", str(tmp_path / "r"),
+                     "--format", "md"]) == 1
+        assert "--format" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 class TestBenchmark:
@@ -398,8 +430,9 @@ class TestPredictMatchesHarness:
 
 
 class TestScipyImports:
-    """scipy is loaded only by rq1's confidence intervals: importing the
-    package and running the fit and predict paths never loads it."""
+    """numpy is the only runtime dependency: importing the package and
+    running every command, the fit and predict paths included, never loads
+    scipy."""
 
     BASE = TestPredict.BASE
 
@@ -443,8 +476,18 @@ class TestScipyImports:
         assert codes == [0] * 7
         assert loaded == []
 
-    def test_rq1_loads_scipy(self, tmp_path):
+    def test_rq1_does_not_load_scipy(self, tmp_path):
+        # rq1's t quantile is computed in-package
         codes, loaded = self._fresh_run(
             tmp_path, [["rq1", "--data", "data.csv", "--out", "rq1"]])
         assert codes == [0]
-        assert "scipy.special" in loaded
+        assert loaded == []
+
+
+class TestRunOptions:
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--data", "d.csv", "--out", "out"],
+        ["predict", "--data", "d.csv"] + TestPredict.BASE])
+    def test_defaults_are_the_run_settings_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        assert _settings_from_args(args) == RunSettings()

@@ -64,9 +64,7 @@ dataset name.  Say in CHANGES.md which numbers changed and why.
 The recorded bytes depend on the numpy and BLAS build: floats are written
 with their shortest round-trip repr, so a build whose sums or products
 round differently in the last bit changes them.  Re-record on a new build
-only after checking that the tables agree to rounding.  The `rq1`
-confidence intervals also depend on the scipy build, through its
-Student-t quantile `stdtrit`.
+only after checking that the tables agree to rounding.
 """
 
 import hashlib

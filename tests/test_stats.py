@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
-from scipy.special import ndtr, stdtr
+from scipy.special import ndtr, stdtr, stdtrit
 
 from ucp_locality.stats import (
     ci95_mean,
@@ -12,6 +12,7 @@ from ucp_locality.stats import (
     moments,
     normal_cdf,
     spearman,
+    t_quantile_975,
     t_two_sided_p,
 )
 
@@ -130,6 +131,22 @@ class TestTTail:
             stacked = t_two_sided_p(t, dof)
             alone = [float(t_two_sided_p(v, dof)) for v in t.ravel()]
             assert stacked.ravel().tolist() == alone
+
+
+class TestTQuantile:
+    def test_matches_scipy(self):
+        for dof in range(1, 301):
+            want = float(stdtrit(dof, 0.975))
+            assert abs(t_quantile_975(dof) - want) <= 5e-14 * want, dof
+
+    def test_closed_forms(self):
+        for dof, want in ((1, math.tan(0.475 * math.pi)),
+                          (2, 0.95 * math.sqrt(2.0 / (1.0 - 0.95 ** 2)))):
+            assert abs(t_quantile_975(dof) - want) <= 1e-14 * want
+
+    def test_dof_validated(self):
+        with pytest.raises(ValueError, match="dof"):
+            t_quantile_975(0)
 
 
 class TestNormalCdf:
