@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,12 +27,10 @@ from .ensemble import BaseModelParams
 from .evaluation import (
     ALL_MODELS,
     ALL_SCHEMES,
-    LEARNER_MODELS,
     LocalModel,
     RunSettings,
     SCHEME_NONE,
     benchmark_all,
-    build_partitioning,
     fit_local,
     grid_cells,
 )
@@ -146,14 +145,16 @@ def _add_run_options(p) -> None:
 
 
 def _settings_from_args(args) -> RunSettings:
-    if args.svr_c <= 0:
-        raise _fail(f"--svr-c must be positive, got {args.svr_c}")
-    if args.svr_eps < 0:
-        raise _fail(f"--svr-eps must be non-negative, got {args.svr_eps}")
-    if args.svr_gamma is not None and args.svr_gamma <= 0:
-        raise _fail(f"--svr-gamma must be positive, got {args.svr_gamma}")
-    if args.alpha <= 0:
-        raise _fail(f"--alpha must be positive, got {args.alpha}")
+    if not 0 < args.svr_c < math.inf:
+        raise _fail(f"--svr-c must be positive and finite, got {args.svr_c}")
+    if not 0 <= args.svr_eps < math.inf:
+        raise _fail(f"--svr-eps must be non-negative and finite, "
+                    f"got {args.svr_eps}")
+    if args.svr_gamma is not None and not 0 < args.svr_gamma < math.inf:
+        raise _fail(f"--svr-gamma must be positive and finite, "
+                    f"got {args.svr_gamma}")
+    if not 0 < args.alpha < math.inf:
+        raise _fail(f"--alpha must be positive and finite, got {args.alpha}")
     if args.z_threshold <= 0:
         raise _fail(f"--z-threshold must be positive, got {args.z_threshold}")
     if args.min_local < 1:
@@ -295,19 +296,14 @@ def _project_from_args(args) -> Project:
 
 
 def _fit_local(args, project: Project) -> LocalModel:
-    """Fit the requested model on the training data, restricted to the
-    project's partition when a learner is paired with a locality scheme."""
+    """Fit the requested model on the training data as a harness fold
+    does (see `fit_local`)."""
     dataset = _load(args.data)
     settings = _settings_from_args(args)
     if not args.keep_outliers:
         dataset = remove_outliers(dataset, zscore_outliers(
             dataset, threshold=args.z_threshold))
-    if args.scheme != SCHEME_NONE and args.scheme not in ALL_SCHEMES:
-        raise _fail(f"unknown scheme {args.scheme!r}")
-    partitioning = None
-    if args.scheme != SCHEME_NONE and args.model in LEARNER_MODELS:
-        partitioning = build_partitioning(dataset, args.scheme, settings.seed)
-    return fit_local(dataset, project, args.model, settings, partitioning)
+    return fit_local(dataset, project, args.model, settings, args.scheme)
 
 
 def cmd_predict(args) -> int:

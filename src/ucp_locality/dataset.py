@@ -50,9 +50,13 @@ class RowError(DatasetError):
 def compute_ucp(uaw: float, uucw: float, tcf: float, ef: float) -> float:
     """Adjusted use case points: (uaw + uucw) * tcf * ef."""
     for name, value in (("uaw", uaw), ("uucw", uucw), ("tcf", tcf), ("ef", ef)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    return (uaw + uucw) * tcf * ef
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be positive and finite, got {value}")
+    ucp = (uaw + uucw) * tcf * ef
+    if not 0 < ucp < math.inf:
+        raise ValueError(f"(uaw + uucw) * tcf * ef = {ucp!r} is out of range")
+    return ucp
 
 
 def compute_pdr(effort: float, ucp: float) -> float:
@@ -61,7 +65,10 @@ def compute_pdr(effort: float, ucp: float) -> float:
         raise ValueError(f"effort must be positive, got {effort}")
     if not ucp > 0:
         raise ValueError(f"ucp must be positive, got {ucp}")
-    return effort / ucp
+    pdr = effort / ucp
+    if not 0 < pdr < math.inf:
+        raise ValueError(f"effort / ucp = {pdr!r} is out of range")
+    return pdr
 
 
 def compute_effort(pdr: float, ucp: float) -> float:

@@ -30,7 +30,6 @@ from .locality import (
     assign,
     derive_seed,
     partition_by_factor,
-    partition_by_kmeans,
     partition_each_by_kmeans,
 )
 from .preprocess import ScalerParams, minmax_apply, minmax_fit
@@ -118,40 +117,30 @@ class EvaluationReport:
         return len(self.folds)
 
 
-def build_partitioning(training: Dataset, scheme: str,
-                       fold_seed: int) -> Partitioning:
-    """The scheme's partitioning of a training set; k-means picks k up to
-    half the training size."""
+def partition_each(trainings, scheme: str, seeds) -> list:
+    """The scheme's partitioning of each training set (None without
+    locality), one seed each.  The k-means sets, all of one size n, are
+    clustered by one `partition_each_by_kmeans` call with k up to n // 2."""
+    if scheme == SCHEME_NONE:
+        return [None] * len(trainings)
     if scheme in FACTOR_SCHEMES:
-        return partition_by_factor(training, int(scheme[1:]))
+        return [partition_by_factor(training, int(scheme[1:]))
+                for training in trainings]
     if scheme == SCHEME_KMEANS:
-        return partition_by_kmeans(training, k_max=_kmeans_k_max(training),
-                                   seed=fold_seed)
+        return partition_each_by_kmeans(
+            trainings, min(KMEANS_K_MAX, len(trainings[0]) // 2), seeds)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _kmeans_k_max(training) -> int:
-    return min(KMEANS_K_MAX, len(training) // 2)
-
-
 def _fold_runs(dataset: Dataset, scheme: str, settings: RunSettings):
-    """(training, test, partitioning) for each leave-one-out fold; the
-    partitioning is None without locality.  The k-means folds are
-    partitioned together by one `partition_each_by_kmeans` call."""
-    runs = [(tuple(p for p in dataset if p.id != test.id), test)
-            for test in dataset]
-    if scheme == SCHEME_NONE:
-        return [(training, test, None) for training, test in runs]
-    trainings = [Dataset(training, name=dataset.name) for training, _ in runs]
-    seeds = [derive_seed(settings.seed, i) for i in range(len(runs))]
-    if scheme == SCHEME_KMEANS:
-        built = partition_each_by_kmeans(
-            trainings, _kmeans_k_max(trainings[0]), seeds)
-    else:
-        built = map(build_partitioning, trainings, [scheme] * len(runs),
-                    seeds)
-    return [(training, test, part)
-            for (training, test), part in zip(runs, built)]
+    """(training, test, partitioning) for each leave-one-out fold, the
+    partitionings from one `partition_each` call."""
+    tests = list(dataset)
+    trainings = [Dataset(tuple(p for p in dataset if p.id != test.id),
+                         name=dataset.name) for test in tests]
+    seeds = [derive_seed(settings.seed, i) for i in range(len(tests))]
+    return list(zip(trainings, tests,
+                    partition_each(trainings, scheme, seeds)))
 
 
 @dataclass
@@ -332,33 +321,36 @@ def _local_model(fields: dict, data, settings: RunSettings, fits: dict,
     return LocalModel(**fields, scaler=scaler, model=model)
 
 
-def fit_local(training, test: Project, model: str, settings: RunSettings,
-              partitioning: Partitioning | None = None) -> LocalModel:
-    """Fit `model` on the test project's local set of `training`.
-
-    With a partitioning, a learner's local set is the partition `assign`
-    puts the test project in.  A missing partition, or one smaller than
-    `local_minimum`, falls back to the full training set, with the reason.
-    The baselines fit nothing and ignore locality.  The scaler is fit on
-    the local set only.
-    """
+def _check_cell(scheme: str, model: str) -> None:
+    """Raise ValueError for an unknown scheme or model."""
+    if scheme != SCHEME_NONE and scheme not in ALL_SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     if model not in ALL_MODELS:
         raise ValueError(f"unknown model {model!r}")
-    fields, data = _local_set(training, test, model, settings, partitioning)
-    return _local_model(fields, data, settings, {})
 
 
 def _check_cells(dataset: Dataset, cells) -> None:
     """Raise ValueError for an unknown scheme or model among the
     (scheme, model) cells, or a dataset too small for leave-one-out."""
     for scheme, model in cells:
-        if scheme != SCHEME_NONE and scheme not in ALL_SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        if model not in ALL_MODELS:
-            raise ValueError(f"unknown model {model!r}")
+        _check_cell(scheme, model)
     if len(dataset) < MIN_DATASET_SIZE:
         raise ValueError(
             f"LOOCV needs at least {MIN_DATASET_SIZE} projects, got {len(dataset)}")
+
+
+def fit_local(training: Dataset, test: Project, model: str,
+              settings: RunSettings, scheme: str = SCHEME_NONE) -> LocalModel:
+    """Fit `model` on the test project's local set of `training` as a
+    harness fold does: a learner's local set is the partition `assign` puts
+    it in, of `partition_each` with `settings.seed`, or the full set (with
+    the reason) when that partition is missing or smaller than
+    `local_minimum`.  The baselines fit nothing and skip locality."""
+    _check_cell(scheme, model)
+    partitioning = None if model in BASELINE_MODELS else partition_each(
+        [training], scheme, [settings.seed])[0]
+    fields, data = _local_set(training, test, model, settings, partitioning)
+    return _local_model(fields, data, settings, {})
 
 
 def loocv_run(dataset: Dataset, scheme: str, model: str,
@@ -369,23 +361,20 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
     Per fold: the partitioning, the feature scaler and the model fit all see
     only the training projects.  A local set smaller than the minimum (or a
     missing partition label) falls back to the full training set, flagged.
-    The folds' partitionings are built together (see `_fold_runs`).  An
-    ensemble cell builds every fold's local set first and computes all
-    their inner leave-one-out profiles in one `inner_error_profile` call,
-    which solves an inner fit shared by several folds once.
 
     `shared` is the scheme's `_SchemeRun` that `benchmark_all` hands to
-    each of the scheme's cells; without it, the run builds its own.
+    each of the scheme's cells.  Without it, the run is a one-cell grid of
+    `benchmark_all`; a baseline ignores locality, so it runs only with
+    scheme `none`.
     """
     settings = settings or RunSettings()
-    _check_cells(dataset, [(scheme, model)])
     if shared is None:
-        shared = _SchemeRun(_fold_runs(
-            dataset, SCHEME_NONE if model in BASELINE_MODELS else scheme,
-            settings))
+        _check_cell(scheme, model)
+        if model in BASELINE_MODELS and scheme != SCHEME_NONE:
+            raise ValueError(f"{model} is a baseline: it ignores locality "
+                             f"and runs only with scheme {SCHEME_NONE!r}")
+        return benchmark_all(dataset, settings, [scheme], [model])[0]
     if model == "ensemble":
-        if shared.ensemble_sets is None:
-            _add_ensemble_sets([shared], settings)
         local_sets = shared.ensemble_sets
     else:
         local_sets = [(*_local_set(training, test, model, settings,

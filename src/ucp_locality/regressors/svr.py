@@ -109,8 +109,8 @@ class SvrModel:
 def resolve_gamma(X: np.ndarray, gamma: float | None) -> float:
     """Explicit gamma, or 1 / (n_features * mean per-feature variance)."""
     if gamma is not None:
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not 0 < gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
         return float(gamma)
     mean_var = float(X.var(axis=0).mean())
     if mean_var <= 0:
@@ -122,10 +122,11 @@ def _check_settings(n: int, c: float, epsilon: float) -> None:
     """The checks every fit makes on its training size and settings."""
     if n < 2:
         raise ValueError(f"SVR needs at least 2 training projects, got {n}")
-    if not c > 0:
-        raise ValueError(f"C must be positive, got {c}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not 0 < c < np.inf:
+        raise ValueError(f"C must be positive and finite, got {c}")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be non-negative and finite, "
+                         f"got {epsilon}")
 
 
 def _bias_only(X: np.ndarray, y: np.ndarray, gamma: float | None, c: float,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ucp_locality
-
+from ucp_locality import evaluation
 from ucp_locality.cli import _settings_from_args, build_parser, main
 from ucp_locality.dataset import (
     CSV_COLUMNS,
@@ -59,6 +59,17 @@ class TestValidate:
                        + "p1,industrial,10,100,1.0,1.0,3,3,3,3,3,3,3,3,0\n")
         assert main(["validate", "--data", str(bad)]) == 1
         assert "row 2" in capsys.readouterr().err
+
+    def test_overflowing_ucp_row_cited(self, tmp_path, capsys):
+        # each size is finite, but (uaw + uucw) * tcf * ef overflows; the
+        # row used to load with UCP inf and PDR 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(CSV_COLUMNS) + "\n"
+                       + "p1,industrial,1e308,1e308,1.0,1.0,3,3,3,3,3,3,3,3,"
+                         "2000\n")
+        assert main(["validate", "--data", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "error: row 2: (uaw + uucw) * tcf * ef = inf is out of range\n")
 
     def test_unknown_flag_is_user_error(self, capsys):
         assert main(["validate", "--bogus", "x"]) == 1
@@ -319,8 +330,9 @@ class TestPredict:
         def no_partitioning(*args):
             raise AssertionError("baselines need no partitioning")
 
-        monkeypatch.setattr("ucp_locality.cli.build_partitioning",
-                            no_partitioning)
+        for name in ("partition_by_factor", "partition_each_by_kmeans"):
+            monkeypatch.setattr(f"ucp_locality.evaluation.{name}",
+                                no_partitioning)
         assert main(["predict", "--data", data_csv, "--scheme", scheme,
                      "--model", model] + self.BASE) == 0
         out = capsys.readouterr().out.splitlines()
@@ -397,6 +409,40 @@ class TestPredict:
         assert main(["predict", "--data", data_csv, "--uaw", "-5",
                      "--uucw", "90", "--tcf", "1.0", "--ef", "1.0",
                      "--env", "3,3,3,3,3,3,3,3"]) == 1
+
+    def test_non_finite_size_rejected(self, data_csv, capsys):
+        assert main(["predict", "--data", data_csv, "--uaw", "inf",
+                     "--uucw", "90", "--tcf", "1.0", "--ef", "1.0",
+                     "--env", "3,3,3,3,3,3,3,3"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: uaw must be positive and finite, got inf\n")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--svr-c", "nan"), ("--svr-c", "inf"), ("--svr-eps", "nan"),
+        ("--svr-eps", "inf"), ("--svr-gamma", "inf"), ("--svr-gamma", "nan"),
+        ("--alpha", "inf"), ("--alpha", "nan")])
+    def test_non_finite_hyperparameter_rejected(self, data_csv, capsys, flag,
+                                                value):
+        assert main(["predict", "--data", data_csv, "--model", "svr",
+                     flag, value] + self.BASE) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {flag} must be ")
+        assert err.endswith(f" and finite, got {value}\n")
+
+    def test_kmeans_partitions_once(self, data_csv, capsys, monkeypatch):
+        # predict partitions as a harness fold does: one stacked k-means
+        # call for its one training set
+        calls = []
+        original = evaluation.partition_each_by_kmeans
+
+        def count(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(evaluation, "partition_each_by_kmeans", count)
+        assert main(["predict", "--data", data_csv, "--scheme", "kmeans",
+                     "--model", "stepwise"] + self.BASE) == 0
+        assert len(calls) == 1
 
 
 class TestPredictMatchesHarness:

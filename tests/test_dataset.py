@@ -34,6 +34,14 @@ class TestComputeUcp:
         with pytest.raises(ValueError, match="tcf"):
             compute_ucp(10, 100, -0.5, 1.0)
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="uaw must be positive"):
+            compute_ucp(math.inf, 100, 1.0, 1.0)
+        with pytest.raises(ValueError, match="ef"):
+            compute_ucp(10, 100, 1.0, math.nan)
+        with pytest.raises(ValueError, match="ef = inf is out of range"):
+            compute_ucp(1e308, 1e308, 1.0, 1.0)
+
 
 class TestComputePdr:
     def test_canonical_ratio(self):
@@ -50,6 +58,12 @@ class TestComputePdr:
             compute_pdr(0, 100)
         with pytest.raises(ValueError):
             compute_pdr(100, 0)
+
+    def test_non_finite_ratio_rejected(self):
+        with pytest.raises(ValueError, match="ucp = 0.0 is out of range"):
+            compute_pdr(1.0, 1e308 * 10)
+        with pytest.raises(ValueError, match="ucp = inf is out of range"):
+            compute_pdr(1e308, 1e-10)
 
 
 class TestComputeEffort:

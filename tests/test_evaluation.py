@@ -13,7 +13,6 @@ from ucp_locality.evaluation import (
     LocalModel,
     RunSettings,
     benchmark_all,
-    build_partitioning,
     fit_local,
     loocv_run,
     mae,
@@ -152,9 +151,8 @@ class TestLoocvRun:
         flat = [replace(p, env=(3,) * 8) for p in generate_synthetic(3, 20)]
         d = Dataset(tuple(flat))
         test, *training = d
-        local = fit_local(training, test, "cart", RunSettings(),
-                          build_partitioning(Dataset(tuple(training)),
-                                             "kmeans", 1))
+        local = fit_local(Dataset(tuple(training)), test, "cart",
+                          RunSettings(seed=1), "kmeans")
         assert local.fallback == ("the training set has fewer than 2 "
                                   "distinct factor vectors to cluster")
         report = loocv_run(d, "kmeans", "ensemble")
@@ -189,25 +187,26 @@ class TestLoocvRun:
         with pytest.raises(ValueError):
             loocv_run(data20, "none", "boost")
 
+    def test_baseline_with_locality_scheme_rejected(self, data20):
+        # a baseline ignores locality, so (e1, karner) is no grid cell
+        with pytest.raises(ValueError, match="karner is a baseline"):
+            loocv_run(data20, "e1", "karner")
+
 
 class TestFitLocal:
     def test_baselines_ignore_the_partitioning(self, data20):
         test, *training = data20
-        partitioning = build_partitioning(
-            Dataset(tuple(training)), "e3", 1)
         for model in ("karner", "sw"):
-            local = fit_local(training, test, model, RunSettings(),
-                              partitioning)
+            local = fit_local(Dataset(tuple(training)), test, model,
+                              RunSettings(seed=1), "e3")
             assert local.partition_label is None and local.fallback is None
             assert local.local_ids == tuple(p.id for p in training)
 
     def test_artifact_predicts_the_same(self, data20):
         test, *training = data20
-        partitioning = build_partitioning(
-            Dataset(tuple(training)), "kmeans", 1)
         for model in ALL_MODELS:
-            local = fit_local(training, test, model, RunSettings(),
-                              partitioning)
+            local = fit_local(Dataset(tuple(training)), test, model,
+                              RunSettings(seed=1), "kmeans")
             loaded = LocalModel.from_dict(local.to_dict())
             assert loaded.to_dict() == local.to_dict()
             assert loaded.pdr(test) == local.pdr(test)
@@ -229,6 +228,18 @@ class TestFitLocal:
     def test_unknown_model(self, data20):
         with pytest.raises(ValueError, match="unknown model"):
             fit_local(data20, next(iter(data20)), "boost", RunSettings())
+
+    def test_unknown_scheme_rejected_before_partitioning(self, data20,
+                                                         monkeypatch):
+        def refuse(*args):
+            raise AssertionError("partitioned before validating")
+
+        for name in ("partition_by_factor", "partition_each_by_kmeans"):
+            monkeypatch.setattr(evaluation, name, refuse)
+        for model in ("cart", "karner"):
+            with pytest.raises(ValueError, match="unknown scheme 'e9'"):
+                fit_local(data20, next(iter(data20)), model, RunSettings(),
+                          "e9")
 
 
 class TestEnsembleRun:

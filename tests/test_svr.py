@@ -105,6 +105,17 @@ class TestSvrFit:
         with pytest.raises(ValueError):
             svr_fit(X, y, gamma=0.0)
 
+    @pytest.mark.parametrize("name", ["c", "epsilon", "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hyperparameters(self, rng, name, value):
+        # a NaN epsilon used to run SMO to MAX_ITER and predict NaN, and
+        # an infinite gamma put inf * 0 = NaN on the kernel diagonal
+        X, y = random_instance(rng, 8)
+        with pytest.raises(ValueError, match="finite"):
+            svr_fit(X, y, **{name: value})
+        with pytest.raises(ValueError, match="finite"):
+            svr_fit_loo(X, y, [0], **{name: value})
+
     def test_kernel_rows_equal_per_row_formula(self, rng):
         for n in (2, 7, 60):
             X = rng.uniform(0, 1, (n, 4))
