@@ -145,6 +145,8 @@ def _add_run_options(p) -> None:
 
 
 def _settings_from_args(args) -> RunSettings:
+    if args.seed < 0:
+        raise _fail(f"--seed must be non-negative, got {args.seed}")
     if not 0 < args.svr_c < math.inf:
         raise _fail(f"--svr-c must be positive and finite, got {args.svr_c}")
     if not 0 <= args.svr_eps < math.inf:
@@ -352,6 +354,8 @@ def cmd_predict(args) -> int:
 def cmd_synth(args) -> int:
     if args.n < 10:
         raise _fail(f"--n must be at least 10, got {args.n}")
+    if args.seed < 0:
+        raise _fail(f"--seed must be non-negative, got {args.seed}")
     dataset = generate_synthetic(args.seed, args.n)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

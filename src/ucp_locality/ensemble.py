@@ -18,16 +18,14 @@ from .regressors.cart import cart_fit, cart_fit_loo
 from .regressors.base import loo_folds, loo_train_rows
 from .regressors.stepwise import ALPHA_REMOVE as STEPWISE_ALPHA
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
-from .regressors.stepwise import stepwise_fit, stepwise_fit_loo
+from .regressors.stepwise import stepwise_fit, stepwise_fit_stacks
 from .regressors.svr import TOL as SVR_TOL
-from .regressors.svr import DEFAULT_C, DEFAULT_EPSILON, svr_fit, svr_fit_loo
+from .regressors.svr import DEFAULT_C, DEFAULT_EPSILON, svr_fit, svr_fit_stacks
 from .stats import mae, mbre, mibre
 
 DEFAULT_ALPHA = 15.0
 PDR_FLOOR = 0.01
 BASE_MODELS = ("svr", "stepwise", "cart")
-# most distinct inner leave-one-out problems one `fit_loo` call solves
-MAX_STACK = 128
 
 KARNER_PDR = 20.0
 SW_LEVELS = (20.0, 28.0, 36.0)
@@ -121,11 +119,12 @@ class BaseModelParams:
         training sets, as in `svr_fit_loo`; with `points`, the predictions
         are at points[j] instead, each by the model of fold at[j].
 
-        The folds are solved together: SVR folds by `svr_fit_loo`, CART
-        folds by `cart_fit_loo` and stepwise folds by `stepwise_fit_loo`.
-        A stepwise fold's model that cannot evaluate a point (a log-scaled
-        feature at a non-positive value) predicts that fold's training mean
-        there.
+        The folds are solved together: SVR folds by `svr_fit_stacks`, CART
+        folds by `cart_fit_loo` and stepwise folds by `stepwise_fit_stacks`.
+        Each solver bounds its own memory, and the points are predicted one
+        stack of models at a time.  A stepwise fold's model that cannot
+        evaluate a point (a log-scaled feature at a non-positive value)
+        predicts that fold's training mean there.
         """
         if kind == "cart":
             return cart_fit_loo(X, y, folds, sets, points, at,
@@ -134,24 +133,34 @@ class BaseModelParams:
                                 max_depth=self.cart_max_depth)
         X, y, sets, folds = loo_folds(X, y, folds, sets)
         if kind == "svr":
-            predictors = [model.predict for model in svr_fit_loo(
-                X, y, folds, c=self.svr_c, epsilon=self.svr_epsilon,
-                gamma=self.svr_gamma, sets=sets)]
+            fits = svr_fit_stacks(X, y, folds, c=self.svr_c,
+                                  epsilon=self.svr_epsilon,
+                                  gamma=self.svr_gamma, sets=sets)
         elif kind == "stepwise":
-            # each fold's training mean; a C-contiguous row's mean equals
-            # the 1-d mean bit for bit
-            means = y[sets[:, None], loo_train_rows(y.shape[1], folds)].mean(
-                axis=1)
-            predictors = [partial(predict_or_fallback, model, fallback=mean)
-                          for model, mean in zip(
-                              stepwise_fit_loo(X, y, folds, sets),
-                              means.tolist())]
+            fits = stepwise_fit_stacks(X, y, folds, sets)
         else:
             raise ValueError(f"unknown base model {kind!r}")
         if points is None:
-            points, at = X[sets, folds], range(folds.size)
-        return np.array([predictors[k](x) for k, x in zip(at, points)],
-                        dtype=float)
+            points, at = X[sets, folds], np.arange(folds.size)
+        at = np.asarray(at, dtype=int)
+        out = np.empty(at.size)
+        for part, models in fits:
+            if kind == "stepwise":
+                # each fold's training mean; a C-contiguous row's mean
+                # equals the 1-d mean bit for bit
+                means = y[sets[part, None], loo_train_rows(
+                    y.shape[1], folds[part])].mean(axis=1)
+                predictors = [partial(predict_or_fallback, model,
+                                      fallback=mean)
+                              for model, mean in zip(models, means.tolist())]
+            else:
+                predictors = [model.predict for model in models]
+            ask = np.flatnonzero((at >= part.start) & (at < part.stop))
+            out[ask] = [predictors[k - part.start](points[j])
+                        for j, k in zip(ask, at[ask])]
+            # free this stack's models before the next stack is fit
+            del models, predictors
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -223,10 +232,10 @@ def inner_error_profile(local_sets,
     one leave-one-out run, outer fold a / inner b trains on the same rows as
     outer b / inner a whenever both local sets and scalers agree.  The
     distinct problems are grouped by training size and solved by one
-    `params.fit_loo` call per base model and stack of at most `MAX_STACK`
-    problems (SVR, stepwise and CART folds are each fit in lockstep, never
-    one fold at a time).  Every fit is the same whatever it is stacked
-    with, so each profile equals that of its set alone.  A stepwise fold
+    `params.fit_loo` call per base model and size (SVR, stepwise and CART
+    folds are each fit in lockstep, in stacks each solver bounds by its
+    memory, never one fold at a time).  Every fit is the same whatever it
+    is stacked with, so each profile equals that of its set alone.  A stepwise fold
     that cannot evaluate its held-out row predicts its training mean there;
     no other learner or fit needs that fallback.
     """
@@ -245,10 +254,8 @@ def inner_error_profile(local_sets,
     for n, members in by_size.items():
         X = np.stack([local_sets[s][0] for s in members])
         y = np.stack([local_sets[s][1] for s in members])
-        # problem p leaves row rows[p] out of set sets[p]; owner[p] numbers
-        # its training rows' digest in order of first appearance
-        sets = np.repeat(np.arange(len(members)), n)
-        rows = np.tile(np.arange(n), len(members))
+        # problem p leaves row p % n out of set p // n; owner[p] numbers its
+        # training rows' digest in order of first appearance
         train = loo_train_rows(n, range(n))
         digests: dict[bytes, int] = {}
         owner = np.array([
@@ -257,15 +264,10 @@ def inner_error_profile(local_sets,
                 len(digests))
             for X_k, y_k in zip(X, y)
             for X_t, y_t in zip(X_k[train], y_k[train])])
-        first = np.unique(owner, return_index=True)[1]
-        group = {name: np.empty((len(members), n)) for name in BASE_MODELS}
-        for lo in range(0, first.size, MAX_STACK):
-            fit = first[lo:lo + MAX_STACK]
-            ask = np.flatnonzero((owner >= lo) & (owner < lo + MAX_STACK))
-            for name in BASE_MODELS:
-                pred = params.fit_loo(name, X, y, rows[fit], sets[fit],
-                                      X[sets[ask], rows[ask]], owner[ask] - lo)
-                group[name][sets[ask], rows[ask]] = np.maximum(pred, PDR_FLOOR)
+        sets, rows = np.divmod(np.unique(owner, return_index=True)[1], n)
+        group = {name: np.maximum(params.fit_loo(
+            name, X, y, rows, sets, X.reshape(-1, X.shape[2]), owner),
+            PDR_FLOOR).reshape(len(members), n) for name in BASE_MODELS}
         for k, s in enumerate(members):
             predictions[s] = {name: group[name][k] for name in BASE_MODELS}
 

@@ -71,6 +71,10 @@ class RunSettings:
     # leak checks; off by default to keep reports small)
     keep_partitions: bool = False
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
@@ -329,16 +333,6 @@ def _check_cell(scheme: str, model: str) -> None:
         raise ValueError(f"unknown model {model!r}")
 
 
-def _check_cells(dataset: Dataset, cells) -> None:
-    """Raise ValueError for an unknown scheme or model among the
-    (scheme, model) cells, or a dataset too small for leave-one-out."""
-    for scheme, model in cells:
-        _check_cell(scheme, model)
-    if len(dataset) < MIN_DATASET_SIZE:
-        raise ValueError(
-            f"LOOCV needs at least {MIN_DATASET_SIZE} projects, got {len(dataset)}")
-
-
 def fit_local(training: Dataset, test: Project, model: str,
               settings: RunSettings, scheme: str = SCHEME_NONE) -> LocalModel:
     """Fit `model` on the test project's local set of `training` as a
@@ -419,10 +413,14 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
 def grid_cells(schemes=None, models=None) -> list[tuple[str, str]]:
     """The (scheme, model) cells `benchmark_all` runs, in its order.
     `schemes`/`models` filter the grid (None keeps all); baselines ignore
-    locality, so they only appear in the no-locality rows."""
+    locality, so they only appear in the no-locality rows.  Raise
+    ValueError for an unknown scheme or model among those requested."""
     scheme_list = list(schemes) if schemes is not None \
         else list(ALL_SCHEMES) + [SCHEME_NONE]
     model_list = list(models) if models is not None else list(ALL_MODELS)
+    for scheme in scheme_list:
+        for model in model_list:
+            _check_cell(scheme, model)
     return [(scheme, model) for scheme in scheme_list for model in model_list
             if scheme == SCHEME_NONE or model not in BASELINE_MODELS]
 
@@ -433,7 +431,8 @@ def benchmark_all(dataset: Dataset, settings: RunSettings | None = None,
     no-locality runs for the learners and both baselines (see
     `grid_cells`).
 
-    The dataset and every cell are checked before any work.  Each scheme's
+    Every requested scheme and model and the dataset are checked before
+    any work, and a request that keeps no cell is refused.  Each scheme's
     fold partitionings are built once, and its cells share them and each
     base-learner fit of a local set (see `_SchemeRun`); a scheme's fits are
     dropped once its cells have run.  Before any cell runs, the grid builds
@@ -443,7 +442,13 @@ def benchmark_all(dataset: Dataset, settings: RunSettings | None = None,
     """
     settings = settings or RunSettings()
     cells = grid_cells(schemes, models)
-    _check_cells(dataset, cells)
+    if not cells:
+        raise ValueError(f"schemes {schemes} with models {models} select no "
+                         f"cell: the baselines run only with scheme "
+                         f"{SCHEME_NONE!r}")
+    if len(dataset) < MIN_DATASET_SIZE:
+        raise ValueError(
+            f"LOOCV needs at least {MIN_DATASET_SIZE} projects, got {len(dataset)}")
     scheme_runs = {
         scheme: _SchemeRun(_fold_runs(dataset, scheme, settings))
         for scheme in dict.fromkeys(scheme for scheme, _ in cells)}

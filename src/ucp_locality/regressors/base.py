@@ -6,6 +6,20 @@ from __future__ import annotations
 
 import numpy as np
 
+# bytes of a lockstep solver's working arrays: each `*_fit_loo` solves its
+# problems in stacks of about this size, so its memory stays flat however
+# many problems it is given
+STACK_BYTES = 1 << 21
+
+
+def stacks(count: int, problem_bytes: int) -> list[slice]:
+    """`count` problems, each with `problem_bytes` of working arrays, cut
+    into consecutive stacks of near-equal width: at most `STACK_BYTES //
+    problem_bytes` problems (and at least one) each."""
+    parts = -(-count // max(1, STACK_BYTES // problem_bytes))
+    return [slice(k * count // parts, (k + 1) * count // parts)
+            for k in range(parts)]
+
 
 def loo_train_rows(n: int, folds) -> np.ndarray:
     """Each fold's training rows, one row of the (folds, n - 1) result per

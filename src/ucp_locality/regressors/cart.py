@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import loo_folds, training_arrays
+from .base import loo_folds, stacks, training_arrays
 
 DEFAULT_MIN_SPLIT = 8
 DEFAULT_MIN_LEAF = 4
@@ -185,28 +185,44 @@ def cart_fit_loo(X, y, folds, sets=None, points=None, at=None,
     predictions are at points[j] instead, each by the tree of fold at[j].
 
     The folds' trees grow together, level by level, and only along the
-    nodes those points reach.  At each level the nodes that need a split
-    search are stacked by row count, one `_best_split` call per count.  A
-    node's rows keep their order in its set, so every mean, split and
-    prediction equals `cart_fit`'s bit for bit.
+    nodes those points reach, in `stacks` of folds (about eight (nodes, n)
+    level arrays of 8 bytes).  At each level the nodes that need a split
+    search are stacked by row count, and each count's nodes are searched
+    in stacks of a quarter of that budget (about ten (nodes, m, f) float
+    arrays), which also keeps them in cache.  A node's rows keep their
+    order in its set, so every mean, split and prediction equals
+    `cart_fit`'s bit for bit.
     """
     X, y, sets, folds = loo_folds(X, y, folds, sets)
     _check_limits(min_split, min_leaf, max_depth)
     n = y.shape[1]
     if folds.size and n < 2:
         raise ValueError("cannot fit a tree on an empty training set")
-
-    # one row-membership mask and set per node of the current level, and
-    # the node each unresolved point has reached; fold f's points start at
-    # its root
-    mask = np.ones((folds.size, n), dtype=bool)
-    mask[np.arange(folds.size), folds] = False
-    node_set = sets
     if points is None:
         points, at = X[sets, folds], np.arange(folds.size)
     else:
         points = np.asarray(points, dtype=float).reshape(-1, X.shape[2])
         at = np.asarray(at, dtype=int)
+    out = np.empty(at.size)
+    for part in stacks(folds.size, 64 * n):
+        ask = np.flatnonzero((at >= part.start) & (at < part.stop))
+        out[ask] = _grow_together(X, y, sets[part], folds[part], points[ask],
+                                  at[ask] - part.start, min_split, min_leaf,
+                                  max_depth)
+    return out
+
+
+def _grow_together(X, y, node_set, folds, points, at, min_split: int,
+                   min_leaf: int, max_depth: int) -> np.ndarray:
+    """`cart_fit_loo`'s level-by-level growth for one stack of folds: the
+    prediction at points[j] of the tree of fold at[j], which leaves row
+    folds[k] out of set node_set[k]."""
+    n, n_features = X.shape[1:]
+    # one row-membership mask and set per node of the current level, and
+    # the node each unresolved point has reached; fold f's points start at
+    # its root
+    mask = np.ones((folds.size, n), dtype=bool)
+    mask[np.arange(folds.size), folds] = False
     out = np.empty(at.size)
     pending = np.arange(at.size)
     for depth in range(max_depth + 1):
@@ -223,11 +239,12 @@ def cart_fit_loo(X, y, folds, sets=None, points=None, at=None,
             prediction[group] = mean
             if m < min_split or depth >= max_depth:
                 continue
-            split = ~np.all(y_g == y_g[:, :1], axis=1)
-            if split.any():
-                found = _best_split(X[of[split], rows[split]], y_g[split],
-                                    mean[split], min_leaf)
-                feature[group[split]], threshold[group[split]], _ = found
+            split = np.flatnonzero(~np.all(y_g == y_g[:, :1], axis=1))
+            for part in stacks(split.size, 320 * m * n_features):
+                s = split[part]
+                found = _best_split(X[of[s], rows[s]], y_g[s], mean[s],
+                                    min_leaf)
+                feature[group[s]], threshold[group[s]], _ = found
 
         leaf = feature[at] < 0
         out[pending[leaf]] = prediction[at[leaf]]

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..preprocess import normality_check
 from ..stats import t_two_sided_p
-from .base import loo_folds, loo_train_rows, training_arrays
+from .base import loo_folds, loo_train_rows, stacks, training_arrays
 
 ALPHA_REMOVE = 0.05
 MIN_TRAIN = 6
@@ -215,16 +215,24 @@ def stepwise_fit_loo(X, y, folds, sets=None) -> list[StepwiseModel]:
     """For each row index i in `folds`, the model that `stepwise_fit`
     returns on X and y without row i.  With `sets`, X (sets, n, f) and y
     (sets, n) stack equal-size training sets, and fold k leaves row
-    folds[k] out of set sets[k].  The folds' training sets are gathered
-    into one stack and eliminated together (see `_fit_sets`)."""
+    folds[k] out of set sets[k]."""
+    return [model for _, models in stepwise_fit_stacks(X, y, folds, sets)
+            for model in models]
+
+
+def stepwise_fit_stacks(X, y, folds, sets=None):
+    """`stepwise_fit_loo`'s models, yielded one stack of folds at a time as
+    (slice of `folds`, models).  The folds' training sets are gathered into
+    `stacks` (about four (folds, n, 1 + f) float arrays each), and each
+    stack is eliminated together (see `_fit_sets`)."""
     X, y, sets, folds = loo_folds(X, y, folds, sets)
-    if not folds.size:
-        return []
     n = y.shape[1]
-    if n - 1 < MIN_TRAIN:
+    if folds.size and n - 1 < MIN_TRAIN:
         raise _too_few(n - 1)
-    train = loo_train_rows(n, folds)
-    return _fit_sets(X[sets[:, None], train], y[sets[:, None], train])
+    for part in stacks(folds.size, 32 * n * (X.shape[2] + 1)):
+        train = loo_train_rows(n, folds[part])
+        yield part, _fit_sets(X[sets[part, None], train],
+                              y[sets[part, None], train])
 
 
 def stepwise_predict(model: StepwiseModel, x) -> float:

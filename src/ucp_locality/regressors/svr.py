@@ -7,8 +7,8 @@ maximal violation with second-order selection of the partner, and the
 solver stops when the worst KKT violation drops to `TOL`.
 
 `svr_fit_loo` fits leave-one-out folds of one or several training sets
-at once: the folds run `svr_fit`'s iterations in lockstep over stacked
-arrays and return the same models, bit for bit.
+in bounded stacks: a stack's folds run `svr_fit`'s iterations in lockstep
+over stacked arrays and return the same models, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import loo_folds, loo_train_rows, training_arrays
+from .base import loo_folds, loo_train_rows, stacks, training_arrays
 
 DEFAULT_C = 1.0
 DEFAULT_EPSILON = 0.1
@@ -246,23 +246,44 @@ def svr_fit_loo(X, y, folds, c: float = DEFAULT_C,
     """For each row index i in `folds`, the model that `svr_fit` returns on
     X and y without row i, with the same hyperparameters.  With `sets`, X
     (sets, n, f) and y (sets, n) stack equal-size training sets, and fold
-    k leaves row folds[k] out of set sets[k].
+    k leaves row folds[k] out of set sets[k]."""
+    return [model for _, models in svr_fit_stacks(X, y, folds, c, epsilon,
+                                                  gamma, sets)
+            for model in models]
 
-    The folds' SMO iterations run in lockstep over stacked arrays, with
-    `svr_fit`'s pair selection, step, bound snap and mask updates, so each
-    model equals its `svr_fit` counterpart bit for bit.  The kernel rows a
-    step needs come from one squared-distance matrix per set, so the extra
-    memory is O(n^2) per set however many folds there are.  The folds'
-    identical-rows checks and automatic gammas are computed together over
-    the gathered (folds, n - 1, f) training sets, with `resolve_gamma`'s
-    arithmetic per fold.
+
+def svr_fit_stacks(X, y, folds, c: float = DEFAULT_C,
+                   epsilon: float = DEFAULT_EPSILON,
+                   gamma: float | None = None, sets=None):
+    """`svr_fit_loo`'s models, yielded one stack of folds at a time as
+    (slice of `folds`, models).  A stack's working set is about a dozen
+    (folds, 2(n - 1)) float arrays, bounded by `stacks`.
+
+    A stack's SMO iterations run in lockstep, with `svr_fit`'s pair
+    selection, step, bound snap and mask updates, so each model equals its
+    `svr_fit` counterpart bit for bit.  The kernel rows a step needs come
+    from one squared-distance matrix per set the stack trains on.  A
+    stack's identical-rows checks and automatic gammas are computed
+    together over its gathered (folds, n - 1, f) training sets, with
+    `resolve_gamma`'s arithmetic per fold.
     """
     X, y, sets, folds = loo_folds(X, y, folds, sets)
     n = y.shape[1]
     _check_settings(n, c, epsilon)
     if folds.size and n < 3:
         raise ValueError(f"SVR needs at least 2 training projects, got {n - 1}")
+    if gamma is not None:
+        gamma = resolve_gamma(X, gamma)
+    for part in stacks(folds.size, 192 * n):
+        yield part, _fit_stack(X, y, sets[part], folds[part], c, epsilon,
+                               gamma)
 
+
+def _fit_stack(X: np.ndarray, y: np.ndarray, sets: np.ndarray,
+               folds: np.ndarray, c: float, epsilon: float,
+               gamma: float | None) -> list[SvrModel]:
+    """The models of one stack of `svr_fit_stacks`."""
+    n = y.shape[1]
     keep = loo_train_rows(n, folds)
     Xs = X[sets[:, None], keep]
     identical = np.all(Xs == Xs[:, :1], axis=(1, 2))
@@ -273,23 +294,23 @@ def svr_fit_loo(X, y, folds, c: float = DEFAULT_C,
             raise ValueError("gamma=auto undefined for constant inputs")
         gammas = 1.0 / (X.shape[2] * mean_var)
     else:
-        gammas = np.full(solved.size, resolve_gamma(X[0], gamma))
+        gammas = np.full(solved.size, gamma)
     del Xs
     models: list[SvrModel | None] = [None] * folds.size
     for f in np.flatnonzero(identical):
         models[f] = _bias_only(X[sets[f], keep[f]], y[sets[f], keep[f]],
                                gamma, c, epsilon)
     if solved.size:
-        rows = keep[solved]
+        rows, of = keep[solved], sets[solved, None]
         # the distance matrices of the sets the solved folds train on, one
         # above the other
         used, on = np.unique(sets[solved], return_inverse=True)
         d2 = np.concatenate([_sq_distances(X[s]) for s in used])
         theta, neg_zg, n_iter, converged = _smo_lockstep(
-            d2, on * n, rows, y[sets[solved, None], rows], gammas, c, epsilon)
+            d2, on * n, rows, y[of, rows], gammas, c, epsilon)
         for f, model in zip(solved, _dual_models(
-                X[sets[solved, None], rows], theta, neg_zg, gammas, c,
-                epsilon, n_iter, converged)):
+                X[of, rows], theta, neg_zg, gammas, c, epsilon, n_iter,
+                converged)):
             models[f] = model
     return models
 
@@ -299,7 +320,7 @@ def _kernel_at(d2: np.ndarray, offset: np.ndarray, rows: np.ndarray,
     """Each problem's single kernel row for its variable `var`."""
     m = rows.shape[1]
     own = offset + rows[np.arange(rows.shape[0]), var % m]
-    return np.exp(neg_gamma * d2[own[:, None], rows])
+    return np.exp(neg_gamma * d2.take(own[:, None] * d2.shape[1] + rows))
 
 
 def _snap_and_mark(theta: np.ndarray, up: np.ndarray, low: np.ndarray,
@@ -342,16 +363,21 @@ def _smo_lockstep(d2: np.ndarray, offset: np.ndarray, rows: np.ndarray,
         up_vals = np.where(up, neg_zg, -np.inf)
         i = up_vals.argmax(axis=1)
         top = up_vals[r, i]
-        done = top - np.where(low, neg_zg, np.inf).min(axis=1) <= TOL
+        low_vals = np.where(low, neg_zg, np.inf)
+        done = top - low_vals.min(axis=1) <= TOL
 
         k_i = _kernel_at(d2, offset, rows, neg_gamma, i)
         quad = np.maximum(2.0 * (1.0 - k_i), _TAU)
-        diff = top[:, None] - neg_zg
-        ratio = ((diff * diff).reshape(-1, 2, m) / quad[:, None, :]).reshape(
-            -1, 2 * m)
-        j = np.where(low & (diff > 0), ratio, -np.inf).argmax(axis=1)
+        # each partner's gain (top - neg_zg)^2 / quad, signed so that one
+        # that cannot move down with a positive step gets a gain <= 0;
+        # until a problem is done some gain exceeds TOL^2 / 2, so j is the
+        # partner `svr_fit` picks
+        gain = np.subtract(top[:, None], low_vals, out=low_vals)
+        gain *= np.abs(gain)
+        gain.reshape(-1, 2, m)[:] /= quad[:, None, :]
+        j = gain.argmax(axis=1)
 
-        d_star = diff[r, j] / quad[r, j % m]
+        d_star = (top - neg_zg[r, j]) / quad[r, j % m]
         t_i, t_j = theta[r, i], theta[r, j]
         cap_i = np.where(i < m, c - t_i, t_i)
         cap_j = np.where(j < m, t_j, c - t_j)
@@ -376,8 +402,8 @@ def _smo_lockstep(d2: np.ndarray, offset: np.ndarray, rows: np.ndarray,
                        theta[r, i] + np.where(i < m, d, -d), c)
         _snap_and_mark(theta, up, low, j,
                        theta[r, j] - np.where(j < m, d, -d), c)
-        k_j = _kernel_at(d2, offset, rows, neg_gamma, j)
-        neg_zg -= np.tile((k_i - k_j) * d[:, None], 2)
+        step = (k_i - _kernel_at(d2, offset, rows, neg_gamma, j)) * d[:, None]
+        neg_zg.reshape(-1, 2, m)[:] -= step[:, None, :]
 
     theta_out[ids] = theta
     zg_out[ids] = neg_zg

@@ -91,6 +91,14 @@ class TestSynth:
     def test_small_n_rejected(self, capsys):
         assert main(["synth", "--seed", "1", "--n", "5", "--out", "x.csv"]) == 1
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--seed", "-3", "--n", "30",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --seed must be non-negative, got -3\n")
+        assert not out.exists()
+
 
 class TestStats:
     def test_outputs_exist_and_parse(self, data_csv, tmp_path):
@@ -191,6 +199,16 @@ class TestBenchmark:
                      "--format", "md"]) == 0
         text = (out / "table5.md").read_text()
         assert "karner" in text
+
+    def test_negative_seed_rejected_before_any_file(self, data_csv, tmp_path,
+                                                    capsys):
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--data", data_csv, "--out", str(out),
+                     "--scheme", "e1", "--model", "cart", "--seed", "-5"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --seed must be non-negative, got -5\n")
+        assert not (out / "outliers.csv").exists()
+        assert not out.exists()
 
     def test_ensemble_writes_weights(self, data_csv, tmp_path):
         out = tmp_path / "bw"
@@ -428,6 +446,15 @@ class TestPredict:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {flag} must be ")
         assert err.endswith(f" and finite, got {value}\n")
+
+    def test_negative_seed_rejected(self, data_csv, tmp_path, capsys):
+        artifact = tmp_path / "a.json"
+        assert main(["predict", "--data", data_csv, "--scheme", "e1",
+                     "--seed", "-5", "--save-model", str(artifact)]
+                    + self.BASE) == 1
+        assert capsys.readouterr() == (
+            "", "error: --seed must be non-negative, got -5\n")
+        assert not artifact.exists()
 
     def test_kmeans_partitions_once(self, data_csv, capsys, monkeypatch):
         # predict partitions as a harness fold does: one stacked k-means

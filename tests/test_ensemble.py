@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import ucp_locality.ensemble as ensemble_module
+import ucp_locality.regressors.base as regressors_base
 from ucp_locality.dataset import generate_synthetic
 from ucp_locality.ensemble import (
     BASE_MODELS,
@@ -233,8 +233,8 @@ class TestInnerErrorProfile:
         distinct = distinct_inner_training_sets(sets)
         assert distinct == 4 * 11 - 3 + 8 + 14
         assert solved == {name: distinct for name in BASE_MODELS}
-        # stacks capped below the number of distinct problems of one size
-        monkeypatch.setattr(ensemble_module, "MAX_STACK", 4)
+        # solver stacks far narrower than the problems of one size
+        monkeypatch.setattr(regressors_base, "STACK_BYTES", 1 << 12)
         solved.clear()
         assert inner_error_profile(sets, params) == alone
         assert solved == {name: distinct for name in BASE_MODELS}
@@ -533,3 +533,113 @@ class TestInnerFitMemo:
             calls.clear()
             report = loocv_run(data, scheme, "ensemble", RunSettings(seed=3))
             assert calls == [sum(f.local_size > 6 for f in report.folds)]
+
+
+def stacked_sets(rng, sets, n):
+    """`sets` equal-size training sets, and each one's leave-one-out folds
+    in order, as (X, y, sets, folds)."""
+    X = rng.uniform(0, 1, (sets, n, 4))
+    y = 15 + 8 * X[:, :, 0] + rng.normal(0, 0.8, (sets, n))
+    return X, y, np.repeat(np.arange(sets), n), np.tile(np.arange(n), sets)
+
+
+def fix_stack_width(monkeypatch, module, width, solve) -> list[int]:
+    """Set `STACK_BYTES` so that the first `stacks` call `solve()` makes in
+    `module`, the one over its folds, cuts stacks of at most `width` folds;
+    returns the widths of those stacks."""
+    asked = []
+
+    def spy(count, problem_bytes):
+        asked.append((count, problem_bytes))
+        return regressors_base.stacks(count, problem_bytes)
+
+    monkeypatch.setattr(module, "stacks", spy)
+    solve()
+    count, problem_bytes = asked[0]
+    monkeypatch.setattr(regressors_base, "STACK_BYTES", width * problem_bytes)
+    return [part.stop - part.start
+            for part in regressors_base.stacks(count, problem_bytes)]
+
+
+class TestStackBounds:
+    """Each lockstep solver cuts its folds into stacks bounded by
+    `STACK_BYTES`; a fold's model is the same in any stack."""
+
+    @pytest.mark.parametrize("kind", BASE_MODELS)
+    @pytest.mark.parametrize("count,widths", [
+        (12, [12]), (13, [6, 7]), (60, [12] * 5)])
+    def test_stacks_equal_per_fold_fits(self, kind, count, widths, rng,
+                                        monkeypatch):
+        # exactly one stack wide, one fold over it, and many stacks
+        from ucp_locality.regressors import cart, stepwise, svr
+
+        X, y, sets, folds = stacked_sets(rng, 5, 13)
+        sets, folds = sets[:count], folds[:count]
+        params = BaseModelParams()
+        module = {"svr": svr, "stepwise": stepwise, "cart": cart}[kind]
+        assert fix_stack_width(
+            monkeypatch, module, 12,
+            lambda: params.fit_loo(kind, X, y, folds, sets)) == widths
+        assert list(params.fit_loo(kind, X, y, folds, sets)) == \
+            per_fold_loo(params, kind, X, y, folds, sets)
+        points = rng.uniform(-0.2, 1.2, (2 * count, 4))
+        at = np.repeat(np.arange(count), 2)[::-1]
+        assert list(params.fit_loo(kind, X, y, folds, sets, points, at)) == \
+            per_fold_loo(params, kind, X, y, folds, sets, points, at)
+        if kind == "svr":
+            models = [m.to_dict() for m in svr.svr_fit_loo(X, y, folds,
+                                                             sets=sets)]
+        elif kind == "stepwise":
+            models = stepwise.stepwise_fit_loo(X, y, folds, sets)
+        else:
+            return
+        reference = [params.fit_one(kind, np.delete(X[s], i, axis=0),
+                                    np.delete(y[s], i))
+                     for s, i in zip(sets, folds)]
+        assert models == [m.to_dict() if kind == "svr" else m
+                          for m in reference]
+
+    def test_stacks_cut_near_equal_widths(self, monkeypatch):
+        monkeypatch.setattr(regressors_base, "STACK_BYTES", 100)
+        widths = {count: [p.stop - p.start
+                          for p in regressors_base.stacks(count, 10)]
+                  for count in (0, 1, 10, 11, 35)}
+        assert widths == {0: [], 1: [1], 10: [10], 11: [5, 6],
+                          35: [8, 9, 9, 9]}
+        # a problem larger than the budget gets a stack of its own
+        assert len(regressors_base.stacks(3, 1000)) == 3
+
+    def test_one_fit_loo_call_per_learner_and_size(self, rng, monkeypatch):
+        calls = []
+        fit_loo = BaseModelParams.fit_loo
+
+        def counting_fit_loo(self, kind, X, y, folds, *args):
+            calls.append((kind, y.shape[1], len(folds)))
+            return fit_loo(self, kind, X, y, folds, *args)
+
+        monkeypatch.setattr(BaseModelParams, "fit_loo", counting_fit_loo)
+        # every solver stack one problem wide: the harness still hands each
+        # learner all the problems of a size at once
+        monkeypatch.setattr(regressors_base, "STACK_BYTES", 1)
+        sets = [fixture_training(rng, 9) for _ in range(3)] + \
+            [fixture_training(rng, 12) for _ in range(2)]
+        inner_error_profile(sets)
+        assert calls == [(name, 9, 27) for name in BASE_MODELS] + \
+            [(name, 12, 24) for name in BASE_MODELS]
+
+    @pytest.mark.parametrize("kind", BASE_MODELS)
+    def test_traced_peak_stays_within_the_budget(self, kind, rng):
+        # 3000 folds: unbounded, each (folds, n) array of CART's level loop
+        # alone would take about 1 MB
+        import tracemalloc
+
+        X, y, sets, folds = stacked_sets(rng, 75, 40)
+        params = BaseModelParams()
+        tracemalloc.start()
+        try:
+            predictions = params.fit_loo(kind, X, y, folds, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert predictions.shape == (3000,)
+        assert peak < 2 * regressors_base.STACK_BYTES

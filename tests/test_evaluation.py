@@ -342,6 +342,29 @@ class TestBenchmarkAll:
         with pytest.raises(ValueError, match="unknown scheme"):
             benchmark_all(data20, schemes=["e1", "e9"])
 
+    @pytest.mark.parametrize("schemes,models,message", [
+        (["e9"], ["karner"], "unknown scheme 'e9'"),
+        (["none"], ["knn", "sw"], "unknown model 'knn'"),
+        (["e1"], ["sw"], "select no cell"),
+        (["e1", "kmeans"], ["karner", "sw"], "select no cell"),
+        ([], None, "select no cell")])
+    def test_selection_checked_before_any_work(self, data20, schemes, models,
+                                               message, monkeypatch):
+        # every requested scheme and model is checked, also one that only
+        # pairs with baselines, and a request that keeps no cell is refused
+        def refuse(*args):
+            raise AssertionError("partitioned before validating")
+
+        for name in ("partition_by_factor", "partition_each_by_kmeans"):
+            monkeypatch.setattr(evaluation, name, refuse)
+        with pytest.raises(ValueError, match=message):
+            benchmark_all(data20, schemes=schemes, models=models)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            RunSettings(seed=-1)
+        assert RunSettings(seed=0).seed == 0
+
     def test_grid_partitions_each_scheme_once(self, data20, monkeypatch):
         calls = Counter()
 
