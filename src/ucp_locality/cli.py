@@ -157,7 +157,7 @@ def _settings_from_args(args) -> RunSettings:
                     f"got {args.svr_gamma}")
     if not 0 < args.alpha < math.inf:
         raise _fail(f"--alpha must be positive and finite, got {args.alpha}")
-    if args.z_threshold <= 0:
+    if not args.z_threshold > 0:
         raise _fail(f"--z-threshold must be positive, got {args.z_threshold}")
     if args.min_local < 1:
         raise _fail(f"--min-local must be at least 1, got {args.min_local}")

@@ -8,19 +8,20 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .dataset import N_FACTORS, validate_factor_score
 from .regressors.cart import DEFAULT_MAX_DEPTH, DEFAULT_MIN_LEAF, DEFAULT_MIN_SPLIT
 from .regressors.cart import cart_fit, cart_fit_loo
-from .regressors.base import loo_folds, loo_train_rows
+from .regressors.base import loo_train_rows
 from .regressors.stepwise import ALPHA_REMOVE as STEPWISE_ALPHA
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
-from .regressors.stepwise import stepwise_fit, stepwise_fit_stacks
+# also bound here: perfbench's tracer resolves it in this module
+from .regressors.stepwise import predict_or_fallback  # noqa: F401
+from .regressors.stepwise import stepwise_fit, stepwise_fit_loo
 from .regressors.svr import TOL as SVR_TOL
-from .regressors.svr import DEFAULT_C, DEFAULT_EPSILON, svr_fit, svr_fit_stacks
+from .regressors.svr import DEFAULT_C, DEFAULT_EPSILON, svr_fit, svr_fit_loo
 from .stats import mae, mbre, mibre
 
 DEFAULT_ALPHA = 15.0
@@ -116,51 +117,24 @@ class BaseModelParams:
                 at=None) -> np.ndarray:
         """For each row index i in `folds`, what `fit_one(kind, ...)` on X
         and y without row i predicts at X[i].  `sets` stacks equal-size
-        training sets, as in `svr_fit_loo`; with `points`, the predictions
-        are at points[j] instead, each by the model of fold at[j].
-
-        The folds are solved together: SVR folds by `svr_fit_stacks`, CART
-        folds by `cart_fit_loo` and stepwise folds by `stepwise_fit_stacks`.
-        Each solver bounds its own memory, and the points are predicted one
-        stack of models at a time.  A stepwise fold's model that cannot
-        evaluate a point (a log-scaled feature at a non-positive value)
-        predicts that fold's training mean there.
+        training sets, and with `points` the predictions are at points[j]
+        instead, each by the model of fold at[j] (see `svr_fit_loo`,
+        `stepwise_fit_loo` and `cart_fit_loo`, which solve the folds
+        together in stacks that bound their memory).  A stepwise fold's
+        model that cannot evaluate a point predicts that fold's training
+        mean there.
         """
+        if kind == "svr":
+            return svr_fit_loo(X, y, folds, sets, points, at, c=self.svr_c,
+                               epsilon=self.svr_epsilon, gamma=self.svr_gamma)
+        if kind == "stepwise":
+            return stepwise_fit_loo(X, y, folds, sets, points, at)
         if kind == "cart":
             return cart_fit_loo(X, y, folds, sets, points, at,
                                 min_split=self.cart_min_split,
                                 min_leaf=self.cart_min_leaf,
                                 max_depth=self.cart_max_depth)
-        X, y, sets, folds = loo_folds(X, y, folds, sets)
-        if kind == "svr":
-            fits = svr_fit_stacks(X, y, folds, c=self.svr_c,
-                                  epsilon=self.svr_epsilon,
-                                  gamma=self.svr_gamma, sets=sets)
-        elif kind == "stepwise":
-            fits = stepwise_fit_stacks(X, y, folds, sets)
-        else:
-            raise ValueError(f"unknown base model {kind!r}")
-        if points is None:
-            points, at = X[sets, folds], np.arange(folds.size)
-        at = np.asarray(at, dtype=int)
-        out = np.empty(at.size)
-        for part, models in fits:
-            if kind == "stepwise":
-                # each fold's training mean; a C-contiguous row's mean
-                # equals the 1-d mean bit for bit
-                means = y[sets[part, None], loo_train_rows(
-                    y.shape[1], folds[part])].mean(axis=1)
-                predictors = [partial(predict_or_fallback, model,
-                                      fallback=mean)
-                              for model, mean in zip(models, means.tolist())]
-            else:
-                predictors = [model.predict for model in models]
-            ask = np.flatnonzero((at >= part.start) & (at < part.stop))
-            out[ask] = [predictors[k - part.start](points[j])
-                        for j, k in zip(ask, at[ask])]
-            # free this stack's models before the next stack is fit
-            del models, predictors
-        return out
+        raise ValueError(f"unknown base model {kind!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -188,23 +162,6 @@ class WeightBreakdown:
     w_mbre: float
     w_mibre: float
     combined: float
-
-
-def predict_or_fallback(model, x, fallback: float) -> float:
-    """Prediction, or the given fallback when the model cannot evaluate the
-    point (a log-scaled stepwise feature at a non-positive value).
-
-    Only inner leave-one-out stepwise folds (`BaseModelParams.fit_loo`) can
-    need it: with the local set's minimum left out, a column can be all
-    positive and get log-scaled, and the held-out row can then sit at or
-    below 0.  An outer fit is on a local set min-max scaled on itself,
-    where every column's minimum is 0, so its stepwise model has no
-    log-scaled feature.
-    """
-    try:
-        return float(model.predict(x))
-    except ValueError:
-        return float(fallback)
 
 
 def _normalize_across_models(raw: dict[str, tuple[float, float, float]]) -> dict:

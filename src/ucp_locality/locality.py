@@ -11,16 +11,13 @@ import numpy as np
 
 from .dataset import FACTOR_MAX, FACTOR_MIN, Dataset, Project
 from .preprocess import ScalerParams, minmax_apply, minmax_fit
+from .regressors.base import stacks
 
 KMEANS_MAX_ITER = 300
 # k-means runs per k (best final inertia kept) and the range of k tried
 KMEANS_RESTARTS = 8
 KMEANS_K_MIN = 2
 KMEANS_K_MAX = 10
-# bytes of a (runs, n, max(k, d)) float array: `kmeans` runs its restarts
-# in chunks of at most this many runs' worth, so its memory stays flat
-# however many folds it is given
-KMEANS_STACK_BYTES = 1 << 17
 
 
 class MergedLevel(enum.IntEnum):
@@ -274,9 +271,8 @@ def kmeans(points: np.ndarray, k: int, seed) -> KMeansResult:
     assignments, means and inertia are computed for all live runs at once,
     each with the arithmetic a lone run would use, so the result equals
     running the restarts one at a time bit for bit; only the rare reseed is
-    done run by run.  The runs go through in chunks small enough that the
-    (runs, n, k) distances and the (runs, n, d) gathered points stay within
-    `KMEANS_STACK_BYTES`.
+    done run by run.  The runs go through in `stacks` of about sixteen
+    (runs, n, max(k, d)) float arrays (the distances and gathered points).
     """
     stack, seeds = _fold_stack(points, seed)
     if k < 2:
@@ -293,10 +289,8 @@ def kmeans(points: np.ndarray, k: int, seed) -> KMeansResult:
             rows.shape[0], size=k, replace=False)]
         for rows, s in zip(distinct, seeds) for r in range(KMEANS_RESTARTS)])
     assignments = np.full((fold_of.size, n), -1)
-    width = max(1, KMEANS_STACK_BYTES // (8 * n * max(k, d)))
     history = []
-    for lo in range(0, fold_of.size, width):
-        chunk = slice(lo, lo + width)
+    for chunk in stacks(fold_of.size, 128 * n * max(k, d)):
         history += _lloyd(stack, fold_of[chunk], centroids[chunk],
                           assignments[chunk])
     final = np.array([h[-1] for h in history]).reshape(folds, KMEANS_RESTARTS)

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# bytes of a lockstep solver's working arrays: each `*_fit_loo` solves its
-# problems in stacks of about this size, so its memory stays flat however
-# many problems it is given
+# bytes of a lockstep solver's working arrays: each `*_fit_loo` and
+# `locality.kmeans` solve their problems in stacks of about this size, so
+# their memory stays flat however many problems they are given
 STACK_BYTES = 1 << 21
 
 
@@ -37,12 +37,13 @@ def training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def loo_folds(X, y, folds, sets=None):
+def loo_folds(X, y, folds, sets=None, points=None, at=None):
     """Leave-one-out folds over a stack of equal-size training sets, as
-    (X, y, sets, rows): X (sets, n, f) and y (sets, n) as float arrays,
-    and per fold k the set sets[k] it trains on without row rows[k].
-    Without `sets`, X (n, f) and y (n,) are one set and `folds` are its
-    row indices."""
+    (X, y, sets, rows, points, at): X (sets, n, f) and y (sets, n) as float
+    arrays, per fold k the set sets[k] it trains on without row rows[k],
+    and the (m, f) points to predict at, each by the fold at[j].  Without
+    `sets`, X (n, f) and y (n,) are one set and `folds` are its row
+    indices.  Without `points`, each fold predicts at its held-out row."""
     rows = np.array([int(i) for i in folds], dtype=int)
     if sets is None:
         X, y = training_arrays(X, y)
@@ -59,7 +60,11 @@ def loo_folds(X, y, folds, sets=None):
     n = y.shape[1]
     if np.any((rows < 0) | (rows >= n)):
         raise ValueError(f"fold indices must be within 0..{n - 1}")
-    return X, y, sets, rows
+    if points is None:
+        return X, y, sets, rows, X[sets, rows], np.arange(rows.size)
+    return (X, y, sets, rows,
+            np.asarray(points, dtype=float).reshape(-1, X.shape[2]),
+            np.asarray(at, dtype=int))
 
 
 def model_from_dict(data: dict):

@@ -193,16 +193,11 @@ def cart_fit_loo(X, y, folds, sets=None, points=None, at=None,
     order in its set, so every mean, split and prediction equals
     `cart_fit`'s bit for bit.
     """
-    X, y, sets, folds = loo_folds(X, y, folds, sets)
+    X, y, sets, folds, points, at = loo_folds(X, y, folds, sets, points, at)
     _check_limits(min_split, min_leaf, max_depth)
     n = y.shape[1]
     if folds.size and n < 2:
         raise ValueError("cannot fit a tree on an empty training set")
-    if points is None:
-        points, at = X[sets, folds], np.arange(folds.size)
-    else:
-        points = np.asarray(points, dtype=float).reshape(-1, X.shape[2])
-        at = np.asarray(at, dtype=int)
     out = np.empty(at.size)
     for part in stacks(folds.size, 64 * n):
         ask = np.flatnonzero((at >= part.start) & (at < part.stop))

@@ -5,7 +5,8 @@ first (only possible when all its training values are positive).  Ordinary
 least squares is then refit repeatedly, dropping the least significant
 feature until every retained coefficient has p <= alpha; the intercept is
 always kept.  `stepwise_fit_loo` runs the eliminations of leave-one-out
-folds of one or several training sets together, with the same models.
+folds of one or several training sets together, with the same models,
+and predicts with them.
 """
 
 from __future__ import annotations
@@ -211,28 +212,57 @@ def stepwise_fit(X, y) -> StepwiseModel:
     return _fit_sets(X[None].copy(), y[None])[0]
 
 
-def stepwise_fit_loo(X, y, folds, sets=None) -> list[StepwiseModel]:
-    """For each row index i in `folds`, the model that `stepwise_fit`
-    returns on X and y without row i.  With `sets`, X (sets, n, f) and y
-    (sets, n) stack equal-size training sets, and fold k leaves row
-    folds[k] out of set sets[k]."""
-    return [model for _, models in stepwise_fit_stacks(X, y, folds, sets)
-            for model in models]
+def stepwise_fit_loo(X, y, folds, sets=None, points=None,
+                     at=None) -> np.ndarray:
+    """For each row index i in `folds`, the prediction that `stepwise_fit`
+    on X and y without row i makes at X[i].  With `sets`, X (sets, n, f)
+    and y (sets, n) stack equal-size training sets, and fold k leaves row
+    folds[k] out of set sets[k].  With `points`, the predictions are at
+    points[j] instead, each by the model of fold at[j].  A fold's model
+    that cannot evaluate a point predicts that fold's training mean there
+    (see `predict_or_fallback`).
 
-
-def stepwise_fit_stacks(X, y, folds, sets=None):
-    """`stepwise_fit_loo`'s models, yielded one stack of folds at a time as
-    (slice of `folds`, models).  The folds' training sets are gathered into
-    `stacks` (about four (folds, n, 1 + f) float arrays each), and each
-    stack is eliminated together (see `_fit_sets`)."""
-    X, y, sets, folds = loo_folds(X, y, folds, sets)
+    The folds are fit in `stacks` of about four (folds, n, 1 + f) float
+    arrays, and each stack's models predict at their points before the
+    next stack is fit.  A stack's eliminations run together (see
+    `_fit_sets`).
+    """
+    X, y, sets, folds, points, at = loo_folds(X, y, folds, sets, points, at)
     n = y.shape[1]
     if folds.size and n - 1 < MIN_TRAIN:
         raise _too_few(n - 1)
+    out = np.empty(at.size)
     for part in stacks(folds.size, 32 * n * (X.shape[2] + 1)):
-        train = loo_train_rows(n, folds[part])
-        yield part, _fit_sets(X[sets[part, None], train],
-                              y[sets[part, None], train])
+        models, means = _fit_stack(X, y, sets[part], folds[part])
+        ask = np.flatnonzero((at >= part.start) & (at < part.stop))
+        out[ask] = [predict_or_fallback(models[k - part.start], points[j],
+                                        means[k - part.start])
+                    for j, k in zip(ask, at[ask])]
+        # free this stack's models before the next stack is fit
+        del models
+    return out
+
+
+def _fit_stack(X: np.ndarray, y: np.ndarray, sets: np.ndarray,
+               folds: np.ndarray) -> tuple[list[StepwiseModel], list[float]]:
+    """The models of one stack of `stepwise_fit_loo`'s folds, and each
+    fold's training mean (a C-contiguous row's mean equals the 1-d mean
+    bit for bit)."""
+    train = loo_train_rows(y.shape[1], folds)
+    ys = y[sets[:, None], train]
+    return _fit_sets(X[sets[:, None], train], ys), ys.mean(axis=1).tolist()
+
+
+def predict_or_fallback(model, x, fallback: float) -> float:
+    """Prediction, or the given fallback when the model cannot evaluate the
+    point (a log-scaled feature at a non-positive value).  Only leave-one-out
+    folds need it: with a local set's minimum left out, a column can be all
+    positive and get log-scaled.  An outer fit is on a local set min-max
+    scaled on itself, where every column's minimum is 0."""
+    try:
+        return float(model.predict(x))
+    except ValueError:
+        return float(fallback)
 
 
 def stepwise_predict(model: StepwiseModel, x) -> float:

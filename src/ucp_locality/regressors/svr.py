@@ -8,7 +8,7 @@ solver stops when the worst KKT violation drops to `TOL`.
 
 `svr_fit_loo` fits leave-one-out folds of one or several training sets
 in bounded stacks: a stack's folds run `svr_fit`'s iterations in lockstep
-over stacked arrays and return the same models, bit for bit.
+over stacked arrays and predict as the same models would, bit for bit.
 """
 
 from __future__ import annotations
@@ -240,49 +240,48 @@ def svr_fit(X, y, c: float = DEFAULT_C, epsilon: float = DEFAULT_EPSILON,
                         epsilon, [n_iter], [converged])[0]
 
 
-def svr_fit_loo(X, y, folds, c: float = DEFAULT_C,
-                epsilon: float = DEFAULT_EPSILON,
-                gamma: float | None = None, sets=None) -> list[SvrModel]:
-    """For each row index i in `folds`, the model that `svr_fit` returns on
-    X and y without row i, with the same hyperparameters.  With `sets`, X
-    (sets, n, f) and y (sets, n) stack equal-size training sets, and fold
-    k leaves row folds[k] out of set sets[k]."""
-    return [model for _, models in svr_fit_stacks(X, y, folds, c, epsilon,
-                                                  gamma, sets)
-            for model in models]
+def svr_fit_loo(X, y, folds, sets=None, points=None, at=None,
+                c: float = DEFAULT_C, epsilon: float = DEFAULT_EPSILON,
+                gamma: float | None = None) -> np.ndarray:
+    """For each row index i in `folds`, the prediction that `svr_fit` on X
+    and y without row i, with the same hyperparameters, makes at X[i].
+    With `sets`, X (sets, n, f) and y (sets, n) stack equal-size training
+    sets, and fold k leaves row folds[k] out of set sets[k].  With
+    `points`, the predictions are at points[j] instead, each by the model
+    of fold at[j].
 
-
-def svr_fit_stacks(X, y, folds, c: float = DEFAULT_C,
-                   epsilon: float = DEFAULT_EPSILON,
-                   gamma: float | None = None, sets=None):
-    """`svr_fit_loo`'s models, yielded one stack of folds at a time as
-    (slice of `folds`, models).  A stack's working set is about a dozen
-    (folds, 2(n - 1)) float arrays, bounded by `stacks`.
-
-    A stack's SMO iterations run in lockstep, with `svr_fit`'s pair
-    selection, step, bound snap and mask updates, so each model equals its
-    `svr_fit` counterpart bit for bit.  The kernel rows a step needs come
-    from one squared-distance matrix per set the stack trains on.  A
-    stack's identical-rows checks and automatic gammas are computed
-    together over its gathered (folds, n - 1, f) training sets, with
-    `resolve_gamma`'s arithmetic per fold.
+    The folds are fit in `stacks` (a stack's working set is about a dozen
+    (folds, 2(n - 1)) float arrays), and each stack's models predict at
+    their points before the next stack is fit.  A stack's SMO iterations
+    run in lockstep, with `svr_fit`'s pair selection, step, bound snap and
+    mask updates, so each model equals its `svr_fit` counterpart bit for
+    bit.  The kernel rows a step needs come from one squared-distance
+    matrix per set the stack trains on.  A stack's identical-rows checks
+    and automatic gammas are computed together over its gathered (folds,
+    n - 1, f) training sets, with `resolve_gamma`'s arithmetic per fold.
     """
-    X, y, sets, folds = loo_folds(X, y, folds, sets)
+    X, y, sets, folds, points, at = loo_folds(X, y, folds, sets, points, at)
     n = y.shape[1]
     _check_settings(n, c, epsilon)
     if folds.size and n < 3:
         raise ValueError(f"SVR needs at least 2 training projects, got {n - 1}")
     if gamma is not None:
         gamma = resolve_gamma(X, gamma)
+    out = np.empty(at.size)
     for part in stacks(folds.size, 192 * n):
-        yield part, _fit_stack(X, y, sets[part], folds[part], c, epsilon,
-                               gamma)
+        models = _fit_stack(X, y, sets[part], folds[part], c, epsilon, gamma)
+        ask = np.flatnonzero((at >= part.start) & (at < part.stop))
+        out[ask] = [models[k - part.start].predict(points[j])
+                    for j, k in zip(ask, at[ask])]
+        # free this stack's models before the next stack is fit
+        del models
+    return out
 
 
 def _fit_stack(X: np.ndarray, y: np.ndarray, sets: np.ndarray,
                folds: np.ndarray, c: float, epsilon: float,
                gamma: float | None) -> list[SvrModel]:
-    """The models of one stack of `svr_fit_stacks`."""
+    """The models of one stack of `svr_fit_loo`'s folds."""
     n = y.shape[1]
     keep = loo_train_rows(n, folds)
     Xs = X[sets[:, None], keep]

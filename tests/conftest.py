@@ -27,3 +27,13 @@ def small_synthetic():
 @pytest.fixture
 def bench_synthetic():
     return generate_synthetic(42, 40)
+
+
+def stepwise_fallback_set():
+    """12 rows whose column 0 has its unique minimum, 0, in row 0.  Without
+    row 0 the column is positive and skewed, so that fold's stepwise model
+    log-scales it, keeps it, and cannot evaluate row 0."""
+    c0 = np.concatenate([[0.0], 2.0 ** -np.arange(10, -1, -1)])
+    c1 = np.array([0.3, 0.9, 0.1, 0.5, 0.7, 0.2, 1.0, 0.0, 0.6, 0.4, 0.8, 0.35])
+    y = 20 + np.log2(np.maximum(c0, 2.0 ** -11)) + 0.1 * np.sin(np.arange(12))
+    return np.column_stack([c0, c1]), y

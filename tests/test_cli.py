@@ -210,6 +210,17 @@ class TestBenchmark:
         assert not (out / "outliers.csv").exists()
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_z_threshold_not_positive_rejected_before_any_file(
+            self, data_csv, tmp_path, capsys, value):
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--data", data_csv, "--out", str(out),
+                     "--scheme", "e1", "--model", "cart",
+                     "--z-threshold", value]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --z-threshold must be positive, got {float(value)}\n")
+        assert not out.exists()
+
     def test_ensemble_writes_weights(self, data_csv, tmp_path):
         out = tmp_path / "bw"
         assert main(["benchmark", "--data", data_csv, "--out", str(out),
@@ -454,6 +465,15 @@ class TestPredict:
                     + self.BASE) == 1
         assert capsys.readouterr() == (
             "", "error: --seed must be non-negative, got -5\n")
+        assert not artifact.exists()
+
+    def test_nan_z_threshold_rejected(self, data_csv, tmp_path, capsys):
+        artifact = tmp_path / "a.json"
+        assert main(["predict", "--data", data_csv, "--scheme", "e1",
+                     "--z-threshold", "nan", "--save-model", str(artifact)]
+                    + self.BASE) == 1
+        assert capsys.readouterr() == (
+            "", "error: --z-threshold must be positive, got nan\n")
         assert not artifact.exists()
 
     def test_kmeans_partitions_once(self, data_csv, capsys, monkeypatch):

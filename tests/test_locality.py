@@ -21,6 +21,7 @@ from ucp_locality.locality import (
     partition_each_by_kmeans,
     select_k,
 )
+from ucp_locality.regressors import base
 
 from conftest import make_dataset, make_project
 
@@ -258,12 +259,12 @@ class TestFoldStack:
     @pytest.fixture(params=[None, 3, 20], ids=["one-chunk", "3-runs",
                                                  "20-runs"])
     def budget(self, request, monkeypatch):
-        """One chunk for all runs, or chunks of about 3 or 20 runs (exactly
-        so at n = 18 and k = 10), which split folds' restarts across chunk
-        boundaries."""
+        """One stack for all runs, or near-equal stacks of at most 3 or 20
+        runs at n = 18 and max(k, d) = 10 (at most 3 or 25 at max(k, d) =
+        8), which split folds' restarts across stack boundaries."""
         if request.param is not None:
-            monkeypatch.setattr(locality, "KMEANS_STACK_BYTES",
-                                8 * 18 * 10 * request.param)
+            monkeypatch.setattr(base, "STACK_BYTES",
+                                128 * 18 * 10 * request.param)
 
     def test_kmeans_stack_equals_loop_per_fold(self, rng, budget):
         reseeds = []

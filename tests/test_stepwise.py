@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from ucp_locality.preprocess import minmax_apply, minmax_fit, normality_check
-from ucp_locality.regressors import stepwise_fit, stepwise_predict
-from ucp_locality.regressors.base import model_from_dict
+from ucp_locality.regressors import stepwise, stepwise_fit, stepwise_predict
+from ucp_locality.regressors.base import loo_folds, model_from_dict
 from ucp_locality.regressors.stepwise import StepwiseModel, stepwise_fit_loo
 from ucp_locality.stats import t_two_sided_p
+
+from conftest import stepwise_fallback_set
 
 
 def normal_equations(design, y):
@@ -260,6 +262,19 @@ class TestStepwiseFit:
         assert stepwise_fit(X, y).to_dict() == stepwise_fit(X, y).to_dict()
 
 
+def loo_models(X, y, folds, sets=None):
+    """The models `stepwise_fit_loo` predicts with, from its per-stack
+    builder over all folds at once; the solver's predictions at the
+    held-out rows must equal theirs, or the fold's training mean where a
+    model cannot evaluate its row."""
+    X, y, sets, folds, points, _ = loo_folds(X, y, folds, sets)
+    models = stepwise._fit_stack(X, y, sets, folds)[0]
+    assert stepwise_fit_loo(X, y, folds, sets).tolist() == [
+        stepwise.predict_or_fallback(model, x, np.delete(y[s], i).mean())
+        for model, x, s, i in zip(models, points, sets, folds)]
+    return models
+
+
 class TestStepwiseFitLoo:
     KINDS = ("random", "ties", "collinear", "exact", "lognormal", "constant")
 
@@ -269,7 +284,7 @@ class TestStepwiseFitLoo:
             X, y = raw_design(rng, self.KINDS[trial % 6])
             if trial % 12 >= 6:
                 X = minmax_apply(minmax_fit(X), X)
-            models = stepwise_fit_loo(X, y, range(y.size))
+            models = loo_models(X, y, range(y.size))
             assert len(models) == y.size
             for i, model in enumerate(models):
                 X_i, y_i = np.delete(X, i, axis=0), np.delete(y, i)
@@ -285,7 +300,7 @@ class TestStepwiseFitLoo:
         for seed in range(40):
             X, y = near_constant_design(seed)
             assert stepwise_fit(X, y).to_dict() == loop_stepwise_fit(X, y, seen).to_dict()
-            models = stepwise_fit_loo(X, y, range(y.size))
+            models = loo_models(X, y, range(y.size))
             for i, model in enumerate(models):
                 assert model.to_dict() == loop_stepwise_fit(
                     np.delete(X, i, axis=0), np.delete(y, i), seen).to_dict()
@@ -294,7 +309,7 @@ class TestStepwiseFitLoo:
     def test_repeated_unordered_and_empty_folds(self, rng):
         X, y = raw_design(rng, "lognormal")
         for folds in ([3, 0, 3, 7], [5], []):
-            models = stepwise_fit_loo(X, y, folds)
+            models = loo_models(X, y, folds)
             assert [m.to_dict() for m in models] == [
                 stepwise_fit(np.delete(X, i, axis=0), np.delete(y, i)).to_dict()
                 for i in folds]
@@ -317,14 +332,14 @@ class TestStepwiseFitLoo:
                       collinear[:, 0] + rng.normal(0, 0.2, n)])
         sets = [0, 1, 2, 3, 4, 0, 4, 2, 1, 3, 0]
         folds = [0, 0, 5, n - 1, 3, 0, 3, 1, n - 1, 2, 9]
-        models = stepwise_fit_loo(X, y, folds, sets)
+        models = loo_models(X, y, folds, sets)
         for model, s, i in zip(models, sets, folds):
             X_i, y_i = np.delete(X[s], i, axis=0), np.delete(y[s], i)
             expected = loop_stepwise_fit(X_i, y_i, seen).to_dict()
             assert model.to_dict() == expected
             assert stepwise_fit(X_i, y_i).to_dict() == expected
         assert seen >= {"log flag", "rank deficient"}
-        assert stepwise_fit_loo(X, y, [], []) == []
+        assert stepwise_fit_loo(X, y, [], []).size == 0
 
     def test_invalid_folds_rejected(self, rng):
         X, y = rng.uniform(0, 1, (10, 3)), rng.uniform(5, 40, 10)
@@ -333,7 +348,26 @@ class TestStepwiseFitLoo:
                 stepwise_fit_loo(X, y, folds)
         with pytest.raises(ValueError, match="at least"):
             stepwise_fit_loo(X[:6], y[:6], [0])
-        assert stepwise_fit_loo(X[:6], y[:6], []) == []
+        assert stepwise_fit_loo(X[:6], y[:6], []).size == 0
+
+    def test_points_predicted_by_their_fold(self, rng):
+        # each point by the model of fold at[j]; fold 0's model log-scales
+        # column 0 and cannot evaluate a point at or below 0 there, so it
+        # predicts its training mean
+        X, y = stepwise_fallback_set()
+        folds = [0, 5, 0]
+        points = np.vstack([rng.uniform(0.1, 1.0, (3, 2)), [[-0.1, 0.5]],
+                            X[:1]])
+        at = [2, 1, 0, 0, 2]
+        models = [stepwise_fit(np.delete(X, i, axis=0), np.delete(y, i))
+                  for i in folds]
+        assert models[0].log_flags[0] and 0 in models[0].feature_indices
+        want = [models[k].predict(x) for x, k in zip(points[:3], at[:3])]
+        want += [float(y[1:].mean())] * 2
+        got = stepwise_fit_loo(X, y, folds, points=points, at=at)
+        assert got.tolist() == want
+        assert stepwise_fit_loo(X, y, folds, points=points[:0],
+                                at=[]).size == 0
 
 
 class TestStepwisePredict:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ucp_locality.regressors import svr, svr_fit, svr_predict
-from ucp_locality.regressors.base import model_from_dict
+from ucp_locality.regressors.base import loo_folds, model_from_dict
 from ucp_locality.regressors.svr import (
     _BOUND_SNAP,
     _TAU,
@@ -155,9 +155,22 @@ def per_fold_fits(X, y, folds, **kwargs):
     return models
 
 
+def loo_models(X, y, folds, sets=None, c=svr.DEFAULT_C,
+               epsilon=svr.DEFAULT_EPSILON, gamma=None):
+    """The models `svr_fit_loo` predicts with, from its per-stack builder
+    over all folds at once; the solver's predictions at the held-out rows
+    must equal theirs."""
+    X, y, sets, folds, points, _ = loo_folds(X, y, folds, sets)
+    models = svr._fit_stack(X, y, sets, folds, c, epsilon, gamma)
+    assert svr_fit_loo(X, y, folds, sets, c=c, epsilon=epsilon,
+                       gamma=gamma).tolist() == [
+        model.predict(x) for model, x in zip(models, points)]
+    return models
+
+
 def assert_loo_equals_per_fold(X, y, folds=None, **kwargs):
     folds = range(len(y)) if folds is None else folds
-    stacked = svr_fit_loo(X, y, folds, **kwargs)
+    stacked = loo_models(X, y, folds, **kwargs)
     reference = per_fold_fits(X, y, folds, **kwargs)
     assert len(stacked) == len(reference)
     for got, want in zip(stacked, reference):
@@ -196,7 +209,7 @@ class TestSvrFitLoo:
     def test_iteration_cap_leaves_some_folds_unconverged(self, rng,
                                                          monkeypatch):
         X, y = random_instance(rng, 30)
-        free = svr_fit_loo(X, y, range(30))
+        free = loo_models(X, y, range(30))
         cap = int(np.median([m.n_iter for m in free]))
         monkeypatch.setattr(svr, "MAX_ITER", cap)
         models = assert_loo_equals_per_fold(X, y)
@@ -212,7 +225,7 @@ class TestSvrFitLoo:
             tied = np.round(rng.uniform(0, 4, (n, 4))) / 4
             for X in (raw, tied, (raw - raw.min(0)) / np.ptp(raw, axis=0)):
                 y = 18 + 5 * X[:, 0] + rng.normal(0, 1, n)
-                models = svr_fit_loo(X, y, range(n))
+                models = loo_models(X, y, range(n))
                 for i, model in enumerate(models):
                     want = resolve_gamma(np.delete(X, i, axis=0), None)
                     assert model.gamma == want
@@ -245,13 +258,13 @@ class TestSvrFitLoo:
         sets = [0, 1, 2, 3, 3, 1, 0, 2, 1]
         folds = [3, 3, 0, n - 1, 2, 0, 3, n - 1, 7]
         for kwargs in ({}, {"c": 5.0, "epsilon": 0.02, "gamma": 2.0}):
-            stacked = svr_fit_loo(X, y, folds, sets=sets, **kwargs)
+            stacked = loo_models(X, y, folds, sets=sets, **kwargs)
             for model, s, i in zip(stacked, sets, folds):
                 want = svr_fit(np.delete(X[s], i, axis=0), np.delete(y[s], i),
                                **kwargs)
                 assert model.to_dict() == want.to_dict()
             assert stacked[3].coefficients.size == 0
-        assert svr_fit_loo(X, y, [], sets=[]) == []
+        assert svr_fit_loo(X, y, [], sets=[]).size == 0
 
     def test_dual_models_equal_the_scalar_rule(self, rng):
         # states with every variable at a bound leave one side of the
@@ -285,7 +298,21 @@ class TestSvrFitLoo:
     def test_subset_of_folds_in_given_order(self, rng):
         X, y = random_instance(rng, 15)
         assert_loo_equals_per_fold(X, y, folds=[9, 2, 2, 14])
-        assert svr_fit_loo(X, y, []) == []
+        assert svr_fit_loo(X, y, []).size == 0
+
+    def test_points_predicted_by_their_fold(self, rng):
+        # each point by the model of fold at[j], in any order, repeated, or
+        # none at all
+        X, y = random_instance(rng, 15)
+        folds = [9, 2, 2, 14]
+        points = rng.uniform(-0.2, 1.2, (6, 4))
+        at = [3, 0, 0, 1, 2, 3]
+        for kwargs in ({}, {"c": 5.0, "epsilon": 0.02, "gamma": 2.0}):
+            models = per_fold_fits(X, y, folds, **kwargs)
+            got = svr_fit_loo(X, y, folds, points=points, at=at, **kwargs)
+            assert got.tolist() == [models[k].predict(x)
+                                    for x, k in zip(points, at)]
+        assert svr_fit_loo(X, y, folds, points=points[:0], at=[]).size == 0
 
     def test_invalid_folds(self, rng):
         X, y = random_instance(rng, 8)
