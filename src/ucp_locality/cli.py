@@ -195,15 +195,19 @@ def cmd_validate(args) -> int:
 
 def cmd_stats(args) -> int:
     dataset = _load(args.data)
+    ext = args.format
+    files = {
+        f"moments.{ext}": moments_table(dataset, ext),
+        f"spearman.{ext}": spearman_table(dataset, ext),
+        "pdr_histogram.svg": svg_histogram(
+            dataset.column("pdr"), bins=10,
+            title=f"PDR histogram ({dataset.name})", x_label="PDR"),
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ext = args.format
-    (out / f"moments.{ext}").write_text(moments_table(dataset, ext))
-    (out / f"spearman.{ext}").write_text(spearman_table(dataset, ext))
-    (out / "pdr_histogram.svg").write_text(
-        svg_histogram(dataset.column("pdr"), bins=10,
-                      title=f"PDR histogram ({dataset.name})", x_label="PDR"))
-    print(f"wrote moments.{ext}, spearman.{ext}, pdr_histogram.svg to {out}")
+    for name, text in files.items():
+        (out / name).write_text(text)
+    print(f"wrote {', '.join(files)} to {out}")
     return EXIT_OK
 
 
@@ -247,16 +251,14 @@ def cmd_benchmark(args) -> int:
                     f"cell: the baselines run only with --scheme none")
     dataset = _load(args.data)
     settings = _settings_from_args(args)
-    out = Path(args.out)
-    (out / "traces").mkdir(parents=True, exist_ok=True)
-
     report = zscore_outliers(dataset, threshold=args.z_threshold)
     cleaned = remove_outliers(dataset, report)
-    (out / "outliers.csv").write_text(
-        csv_text(("id", "flagged", "max_abs_z"), report.to_csv_rows()))
-
     reports = benchmark_all(cleaned, settings, schemes=schemes, models=models)
 
+    out = Path(args.out)
+    (out / "traces").mkdir(parents=True, exist_ok=True)
+    (out / "outliers.csv").write_text(
+        csv_text(("id", "flagged", "max_abs_z"), report.to_csv_rows()))
     for rel, text in benchmark_files(reports, args.format).items():
         (out / rel).write_text(text)
 

@@ -128,15 +128,8 @@ def _fold_stack(points, seed) -> tuple[np.ndarray, list[int]]:
 
 
 def _distinct_rows(stack: np.ndarray) -> list[np.ndarray]:
-    """Each fold's distinct rows, as `np.unique(stack[f], axis=0)` gives
-    them, from one `np.unique` over the rows tagged with their fold."""
-    folds, n, d = stack.shape
-    tagged = np.empty((folds * n, d + 1))
-    tagged[:, 0] = np.repeat(np.arange(folds), n)
-    tagged[:, 1:] = stack.reshape(-1, d)
-    rows = np.unique(tagged, axis=0)
-    return np.split(rows[:, 1:],
-                    np.searchsorted(rows[:, 0], np.arange(1, folds)))
+    """Each fold's distinct rows, sorted."""
+    return [np.unique(points, axis=0) for points in stack]
 
 
 def _repopulate(points: np.ndarray, dists: np.ndarray,
@@ -158,43 +151,13 @@ def _repopulate(points: np.ndarray, dists: np.ndarray,
     raise RuntimeError("could not repopulate empty clusters")
 
 
-def _sq_distances(coords: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(runs, n, k) squared Euclidean distances between points (d, runs, n)
-    and centroids (d, runs, k), both indexed by coordinate first.
-
-    The d squared differences are added in the order in which numpy's
-    pairwise summation adds a contiguous row of d <= 128 values: one after
-    another below 8 terms; otherwise into 8 interleaved partial sums,
-    combined as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the
-    terms past the last multiple of 8.  So every entry equals
-    `np.add.reduce(diff * diff, axis=-1)` over point-major (runs, n, k, d)
-    differences bit for bit, while at most five (runs, n, k) arrays are
-    live.
-    """
-    d = coords.shape[0]
-    tail = d - d % 8 if d >= 8 else 1
-
-    def term(j):
-        diff = coords[j][:, :, None] - centroids[j][:, None, :]
-        return np.multiply(diff, diff, out=diff)
-
-    # partial sum j holds terms j, j + 8, ...; they are combined pairwise
-    # as they complete, so only one sum per tree level is kept
-    pending: list[tuple[int, np.ndarray]] = []
-    for lane in range(8 if d >= 8 else 1):
-        total = term(lane)
-        for j in range(lane + 8, tail, 8):
-            total += term(j)
-        width = 1
-        while pending and pending[-1][0] == width:
-            left = pending.pop()[1]
-            left += total
-            total, width = left, 2 * width
-        pending.append((width, total))
-    total = pending.pop()[1]
-    for j in range(tail, d):
-        total += term(j)
-    return total
+def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(runs, n, k) squared Euclidean distances between points (runs, n, d)
+    and centroids (runs, k, d).  The squares are summed along the last,
+    contiguous axis of one (runs, n, k, d) array, so each distance has the
+    bits a lone run's would."""
+    diff = points[:, :, None, :] - centroids[:, None, :, :]
+    return np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1)
 
 
 def _cluster_means(points: np.ndarray, assignments: np.ndarray,
@@ -228,8 +191,7 @@ def _lloyd(points: np.ndarray, fold_of: np.ndarray, centroids: np.ndarray,
         folds = fold_of[live]
         run_points = points[folds]
         current = centroids[live]
-        dists = np.sqrt(_sq_distances(run_points.transpose(2, 0, 1),
-                                      current.transpose(2, 0, 1)))
+        dists = np.sqrt(_sq_distances(run_points, current))
         new_assignments = np.argmin(dists, axis=2)
         counts = (new_assignments[:, :, None] == np.arange(k)).sum(axis=1)
         for j in np.nonzero(np.any(counts == 0, axis=1))[0]:
@@ -271,8 +233,10 @@ def kmeans(points: np.ndarray, k: int, seed) -> KMeansResult:
     assignments, means and inertia are computed for all live runs at once,
     each with the arithmetic a lone run would use, so the result equals
     running the restarts one at a time bit for bit; only the rare reseed is
-    done run by run.  The runs go through in `stacks` of about sixteen
-    (runs, n, max(k, d)) float arrays (the distances and gathered points).
+    done run by run.  The runs go through in `stacks`; the budget pays, per
+    run, for the (n, k, d) float differences of the distance kernel and
+    about eight (n, max(k, d)) float arrays (the distances and gathered
+    points).
     """
     stack, seeds = _fold_stack(points, seed)
     if k < 2:
@@ -290,7 +254,7 @@ def kmeans(points: np.ndarray, k: int, seed) -> KMeansResult:
         for rows, s in zip(distinct, seeds) for r in range(KMEANS_RESTARTS)])
     assignments = np.full((fold_of.size, n), -1)
     history = []
-    for chunk in stacks(fold_of.size, 128 * n * max(k, d)):
+    for chunk in stacks(fold_of.size, 8 * n * (k * d + 8 * max(k, d))):
         history += _lloyd(stack, fold_of[chunk], centroids[chunk],
                           assignments[chunk])
     final = np.array([h[-1] for h in history]).reshape(folds, KMEANS_RESTARTS)
@@ -304,9 +268,9 @@ def kmeans(points: np.ndarray, k: int, seed) -> KMeansResult:
 
 def dunn_index(points: np.ndarray, assignments: np.ndarray,
                centroids: np.ndarray) -> float:
-    """Minimum pairwise centroid distance over maximum intra-cluster
-    point-to-point diameter.  All-singleton clusterings (zero diameter)
-    give +inf unless two centroids coincide."""
+    """Smallest distance between two centroids over the largest
+    intra-cluster point-to-point diameter.  All-singleton clusterings (zero
+    diameter) give +inf unless two centroids coincide."""
     points = np.asarray(points, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
     k = centroids.shape[0]

@@ -142,6 +142,19 @@ class TestStats:
                      str(tmp_path / "csv")]) == 0
         assert ",nan\n" in (tmp_path / "csv" / "moments.csv").read_text()
 
+    def test_undefined_correlation_refused_before_any_file(self, tmp_path,
+                                                            capsys):
+        data = tmp_path / "constant_tcf.csv"
+        synthetic = generate_synthetic(7, 11)
+        save_dataset(make_dataset([replace(p, tcf=1.0) for p in synthetic]),
+                     data)
+        out = tmp_path / "stats"
+        assert main(["stats", "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: column 'tcf': correlation undefined for a constant "
+            "input\n")
+        assert not out.exists()
+
 
 class TestRq1:
     def test_file_enumeration(self, data_csv, tmp_path):
@@ -219,6 +232,20 @@ class TestBenchmark:
                      "--z-threshold", value]) == 1
         assert capsys.readouterr() == (
             "", f"error: --z-threshold must be positive, got {float(value)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold,message", [
+        ("1", "LOOCV needs at least 10 projects, got 4"),
+        ("0.01", "removing outliers would empty the dataset"),
+    ])
+    def test_screened_set_refused_before_any_file(self, tmp_path, capsys,
+                                                  threshold, message):
+        data = tmp_path / "d.csv"
+        save_dataset(generate_synthetic(7, 11), data)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--data", str(data), "--out", str(out),
+                     "--z-threshold", threshold]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_ensemble_writes_weights(self, data_csv, tmp_path):

@@ -215,11 +215,11 @@ class TestKMeans:
             assert set(result.assignments) == set(range(6))
 
     def test_distance_sum_follows_numpy_pairwise_order(self, rng):
-        # `_sq_distances` writes out the order in which numpy sums a
-        # contiguous row.  Near-equal coordinates of widely different
-        # magnitudes make most orders round differently, so a numpy release
-        # that sums another way fails here instead of silently changing
-        # recorded outputs.
+        # `_sq_distances` must sum a row of squared differences in the order
+        # numpy's `add.reduce` sums a contiguous row.  Near-equal coordinates
+        # of widely different magnitudes make most orders round differently,
+        # so a kernel or a numpy release that sums another way fails here
+        # instead of silently changing recorded outputs.
         for d in (1, 2, 5, 7, 8, 9, 16, 21):
             magnitude = 10.0 ** rng.integers(-6, 7, size=d)
             base = rng.normal(size=(30, 1, 1, d)) * magnitude
@@ -228,9 +228,7 @@ class TestKMeans:
             diff = points - centroids
             squares = diff * diff
             expected = np.add.reduce(squares, axis=3)
-            got = locality._sq_distances(
-                np.ascontiguousarray(points[:, :, 0].transpose(2, 0, 1)),
-                np.ascontiguousarray(centroids[:, 0].transpose(2, 0, 1)))
+            got = locality._sq_distances(points[:, :, 0], centroids[:, 0])
             assert got.tobytes() == expected.tobytes(), d
             if d >= 8:
                 in_order = reduce(np.add, np.moveaxis(squares, 3, 0))
@@ -260,8 +258,10 @@ class TestFoldStack:
                                                  "20-runs"])
     def budget(self, request, monkeypatch):
         """One stack for all runs, or near-equal stacks of at most 3 or 20
-        runs at n = 18 and max(k, d) = 10 (at most 3 or 25 at max(k, d) =
-        8), which split folds' restarts across stack boundaries."""
+        runs at n = 18 and k = 10, which split folds' restarts across stack
+        boundaries.  Below k = 10 the stacks are wider, as the distance
+        kernel's (n, k, d) differences shrink with k: at most 3 or 25 runs
+        at k = 8 and 6 or 40 at k = 2."""
         if request.param is not None:
             monkeypatch.setattr(base, "STACK_BYTES",
                                 128 * 18 * 10 * request.param)
@@ -329,6 +329,25 @@ class TestFoldStack:
         assert stacked[-1].partitions == {} and stacked[-1].k is None
         with pytest.raises(ValueError, match="no partitions"):
             assign(data.projects[0], stacked[-1])
+
+    @pytest.mark.parametrize("shape,k", [((60, 40, 8), 10),
+                                         ((12, 60, 40), 32)],
+                             ids=["several-stacks", "wide"])
+    def test_traced_peak_stays_within_the_budget(self, rng, shape, k):
+        # 480 runs at d = 8 need several stacks; at d = 40 and k = 32 the
+        # (n, k, d) differences of a run dwarf its (n, max(k, d)) arrays
+        import tracemalloc
+
+        stack = rng.uniform(0, 1, shape)
+        seeds = [int(s) for s in rng.integers(1 << 30, size=shape[0])]
+        tracemalloc.start()
+        try:
+            result = kmeans(stack, k, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.assignments.shape == shape[:2]
+        assert peak < 2 * base.STACK_BYTES
 
 
 class TestDunnIndex:
