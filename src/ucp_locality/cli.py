@@ -25,11 +25,8 @@ from .dataset import (
 )
 from .ensemble import BaseModelParams
 from .evaluation import (
-    ALL_MODELS,
-    ALL_SCHEMES,
     LocalModel,
     RunSettings,
-    SCHEME_NONE,
     benchmark_all,
     fit_local,
     grid_cells,
@@ -227,25 +224,9 @@ def cmd_rq1(args) -> int:
     return EXIT_OK
 
 
-def _parse_scheme_selector(value: str) -> list[str] | None:
-    if value == "all":
-        return None
-    if value in ALL_SCHEMES or value == SCHEME_NONE:
-        return [value]
-    raise _fail(f"unknown scheme {value!r} (use e1..e8, kmeans, none or all)")
-
-
-def _parse_model_selector(value: str) -> list[str] | None:
-    if value == "all":
-        return None
-    if value in ALL_MODELS:
-        return [value]
-    raise _fail(f"unknown model {value!r}")
-
-
 def cmd_benchmark(args) -> int:
-    schemes = _parse_scheme_selector(args.scheme)
-    models = _parse_model_selector(args.model)
+    schemes = None if args.scheme == "all" else [args.scheme]
+    models = None if args.model == "all" else [args.model]
     if not grid_cells(schemes, models):
         raise _fail(f"--scheme {args.scheme} --model {args.model} selects no "
                     f"cell: the baselines run only with --scheme none")

@@ -32,6 +32,13 @@ KARNER_PDR = 20.0
 SW_LEVELS = (20.0, 28.0, 36.0)
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the sigmoid scaling alpha is positive and
+    finite (an infinite alpha times a zero error gap is NaN)."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def sigmoid_weight(normalized_error: float, mean_normalized_error: float,
                    alpha: float = DEFAULT_ALPHA) -> float:
     """1 / (1 + exp(alpha * (err - mean))); strictly inside (0, 1).
@@ -39,8 +46,7 @@ def sigmoid_weight(normalized_error: float, mean_normalized_error: float,
     The exponent is clamped at +/-36, the float64 saturation point, so the
     weight never collapses to exactly 0 or 1.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     t = alpha * (normalized_error - mean_normalized_error)
     t = max(-36.0, min(36.0, t))
     return 1.0 / (1.0 + math.exp(t))
@@ -271,14 +277,14 @@ class EnsembleModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "EnsembleModel":
+    def from_dict(cls, data: dict, n_features: int) -> "EnsembleModel":
         from .regressors.base import model_from_dict
 
         params = data["params"]
-        models = {name: model_from_dict(params["models"][name])
+        models = {name: model_from_dict(params["models"][name], n_features)
                   for name in BASE_MODELS}
-        weights = {name: WeightBreakdown(*vals)
-                   for name, vals in params["weights"].items()}
+        weights = {name: WeightBreakdown(*params["weights"][name])
+                   for name in BASE_MODELS}
         return cls(models=models, weights=weights, alpha=params["alpha"],
                    n_train=data["metadata"]["n_train"])
 
@@ -295,8 +301,7 @@ def ensemble_fit(X, y, ucp, alpha: float = DEFAULT_ALPHA,
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     params = params or BaseModelParams()
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     if y.size < STEPWISE_MIN_TRAIN:
         raise ValueError(
             f"ensemble needs at least {STEPWISE_MIN_TRAIN} projects, got {y.size}")

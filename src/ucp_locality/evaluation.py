@@ -19,6 +19,7 @@ from .ensemble import (
     KARNER_PDR,
     PDR_FLOOR,
     WeightBreakdown,
+    check_alpha,
     ensemble_fit,
     inner_error_profile,
     sw_productivity,
@@ -74,6 +75,7 @@ class RunSettings:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_alpha(self.ensemble_alpha)
 
     def to_dict(self) -> dict:
         return {
@@ -147,20 +149,6 @@ def _fold_runs(dataset: Dataset, scheme: str, settings: RunSettings):
                     partition_each(trainings, scheme, seeds)))
 
 
-@dataclass
-class _SchemeRun:
-    """What the cells of one scheme share in one run: each fold's
-    (training, test, partitioning), each ensemble fold's
-    (fields, local set, profile) once `_add_ensemble_sets` has built them,
-    and each learner's fit of a local set, keyed by (learner, local ids).
-    Ids are unique in a dataset and the scaler is fit on the set, so the
-    ids fix the fit's X and y."""
-
-    runs: list
-    ensemble_sets: list | None = None
-    fits: dict = field(default_factory=dict)
-
-
 def local_minimum(model: str, settings: RunSettings) -> int:
     """Fewest local projects `model` is fit on; a smaller partition falls
     back to the full training set."""
@@ -230,15 +218,15 @@ class LocalModel:
             kind = data["model"]["kind"]
             model = scaler = None
             if kind not in BASELINE_MODELS:
-                model = model_from_dict(data["model"])
                 scaler = ScalerParams.from_dict(data["scaler"])
+                model = model_from_dict(data["model"], len(scaler.mins))
             return cls(kind=kind, partition_label=data["partition_label"],
                        fallback=data.get("fallback"),
                        local_size=data["local_size"], local_ids=None,
                        seed=data["seed"], scaler=scaler, model=model)
         except KeyError as exc:
-            raise ValueError(f"model file lacks the key {exc}") from None
-        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed model file: no key {exc}") from None
+        except (TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed model file: {exc}") from None
 
 
@@ -278,47 +266,43 @@ def _local_set(training, test: Project, model: str, settings: RunSettings,
                     np.array([p.ucp for p in local]))
 
 
-def _add_ensemble_sets(scheme_runs, settings: RunSettings) -> None:
-    """Build every fold's ensemble local set of each `_SchemeRun` in
-    `scheme_runs`, with the inner leave-one-out profile of each set large
-    enough for inner validation.  All the profiles are computed in one
-    `inner_error_profile` call."""
-    for run in scheme_runs:
-        run.ensemble_sets = [
-            _local_set(training, test, "ensemble", settings, partitioning)
-            for training, test, partitioning in run.runs]
-    inner = [(X, y, ucp) for run in scheme_runs
-             for _, (_, X, y, ucp) in run.ensemble_sets
-             if y.size > STEPWISE_MIN_TRAIN]
-    profiles = iter(inner_error_profile(inner, settings.base_params)
-                    if inner else ())
-    for run in scheme_runs:
-        run.ensemble_sets = [
-            (fields, data, next(profiles)
-             if data[2].size > STEPWISE_MIN_TRAIN else None)
-            for fields, data in run.ensemble_sets]
+def _inner_profiles(fold_runs, settings: RunSettings) -> dict:
+    """The inner leave-one-out profile of the ensemble local set of each
+    (training, test, partitioning) in `fold_runs` that is large enough for
+    inner validation, keyed by the set's local ids; all computed by one
+    `inner_error_profile` call.  Ids are unique in a dataset and the scaler
+    is fit on the set, so the ids fix its scaled rows, PDRs and UCPs."""
+    ids, inner = [], []
+    for training, test, partitioning in fold_runs:
+        fields, (_, X, y, ucp) = _local_set(training, test, "ensemble",
+                                            settings, partitioning)
+        if y.size > STEPWISE_MIN_TRAIN:
+            ids.append(fields["local_ids"])
+            inner.append((X, y, ucp))
+    return dict(zip(ids, inner_error_profile(inner, settings.base_params)
+                    if inner else ()))
 
 
 def _local_model(fields: dict, data, settings: RunSettings, fits: dict,
-                 profile=None) -> LocalModel:
+                 profiles: dict) -> LocalModel:
     """The `LocalModel` of one local set of `_local_set`.  A learner's fit
     of the set is taken from `fits` or made and put there, keyed by
     (learner, local ids); the ensemble takes its three base models so and
-    is weighted by `profile` (computed by `ensemble_fit` when None)."""
+    is weighted by the set's profile in `profiles`, keyed by local ids
+    (computed by `ensemble_fit` when absent)."""
     if data is None:
         return LocalModel(**fields, scaler=None, model=None)
     scaler, X, y, ucp = data
-    params = settings.base_params
+    params, ids = settings.base_params, fields["local_ids"]
 
     def fit(name):
-        key = (name, fields["local_ids"])
-        if key not in fits:
-            fits[key] = params.fit_one(name, X, y)
-        return fits[key]
+        if (name, ids) not in fits:
+            fits[name, ids] = params.fit_one(name, X, y)
+        return fits[name, ids]
 
     if fields["kind"] == "ensemble":
         model = ensemble_fit(X, y, ucp, alpha=settings.ensemble_alpha,
-                             params=params, profile=profile,
+                             params=params, profile=profiles.get(ids),
                              models={name: fit(name) for name in BASE_MODELS})
     else:
         model = fit(fields["kind"])
@@ -344,22 +328,22 @@ def fit_local(training: Dataset, test: Project, model: str,
     partitioning = None if model in BASELINE_MODELS else partition_each(
         [training], scheme, [settings.seed])[0]
     fields, data = _local_set(training, test, model, settings, partitioning)
-    return _local_model(fields, data, settings, {})
+    return _local_model(fields, data, settings, {}, {})
 
 
 def loocv_run(dataset: Dataset, scheme: str, model: str,
               settings: RunSettings | None = None,
-              shared: _SchemeRun | None = None) -> EvaluationReport:
+              shared: tuple | None = None) -> EvaluationReport:
     """Leave-one-out evaluation of one (scheme, model) pair.
 
     Per fold: the partitioning, the feature scaler and the model fit all see
     only the training projects.  A local set smaller than the minimum (or a
     missing partition label) falls back to the full training set, flagged.
 
-    `shared` is the scheme's `_SchemeRun` that `benchmark_all` hands to
-    each of the scheme's cells.  Without it, the run is a one-cell grid of
-    `benchmark_all`; a baseline ignores locality, so it runs only with
-    scheme `none`.
+    `shared` is the (fold runs, fits, inner profiles) that `benchmark_all`
+    hands to each of the scheme's cells (see `_local_model`).  Without it,
+    the run is a one-cell grid of `benchmark_all`; a baseline ignores
+    locality, so it runs only with scheme `none`.
     """
     settings = settings or RunSettings()
     if shared is None:
@@ -368,17 +352,14 @@ def loocv_run(dataset: Dataset, scheme: str, model: str,
             raise ValueError(f"{model} is a baseline: it ignores locality "
                              f"and runs only with scheme {SCHEME_NONE!r}")
         return benchmark_all(dataset, settings, [scheme], [model])[0]
-    if model == "ensemble":
-        local_sets = shared.ensemble_sets
-    else:
-        local_sets = [(*_local_set(training, test, model, settings,
-                                   partitioning), None)
-                      for training, test, partitioning in shared.runs]
-    local_models = [_local_model(fields, data, settings, shared.fits, profile)
-                    for fields, data, profile in local_sets]
+    runs, fits, profiles = shared
+    local_models = [
+        _local_model(*_local_set(training, test, model, settings,
+                                 partitioning), settings, fits, profiles)
+        for training, test, partitioning in runs]
 
     folds = []
-    for (_, test, partitioning), local in zip(shared.runs, local_models):
+    for (_, test, partitioning), local in zip(runs, local_models):
         pdr = local.pdr(test)
         effort = pdr * test.ucp
         folds.append(FoldTrace(
@@ -434,11 +415,11 @@ def benchmark_all(dataset: Dataset, settings: RunSettings | None = None,
     Every requested scheme and model and the dataset are checked before
     any work, and a request that keeps no cell is refused.  Each scheme's
     fold partitionings are built once, and its cells share them and each
-    base-learner fit of a local set (see `_SchemeRun`); a scheme's fits are
-    dropped once its cells have run.  Before any cell runs, the grid builds
-    every ensemble cell's local sets and computes all their inner
-    leave-one-out profiles in one `inner_error_profile` call, so an inner
-    problem that cells of different schemes share is solved once.
+    base-learner fit of a local set; a scheme's fits are dropped once its
+    cells have run.  Before any cell runs, the grid computes the inner
+    leave-one-out profiles of every ensemble cell's local sets in one
+    `inner_error_profile` call (see `_inner_profiles`), so an inner problem
+    that cells of different schemes share is solved once.
     """
     settings = settings or RunSettings()
     cells = grid_cells(schemes, models)
@@ -449,15 +430,15 @@ def benchmark_all(dataset: Dataset, settings: RunSettings | None = None,
     if len(dataset) < MIN_DATASET_SIZE:
         raise ValueError(
             f"LOOCV needs at least {MIN_DATASET_SIZE} projects, got {len(dataset)}")
-    scheme_runs = {
-        scheme: _SchemeRun(_fold_runs(dataset, scheme, settings))
-        for scheme in dict.fromkeys(scheme for scheme, _ in cells)}
-    _add_ensemble_sets([scheme_runs[scheme] for scheme, model in cells
-                        if model == "ensemble"], settings)
+    fold_runs = {scheme: _fold_runs(dataset, scheme, settings)
+                 for scheme in dict.fromkeys(scheme for scheme, _ in cells)}
+    profiles = _inner_profiles([run for scheme, model in cells
+                                if model == "ensemble"
+                                for run in fold_runs[scheme]], settings)
 
     reports = []
-    for scheme in list(scheme_runs):
-        run = scheme_runs.pop(scheme)
-        reports += [loocv_run(dataset, scheme, model, settings, run)
+    for scheme in list(fold_runs):
+        shared = (fold_runs.pop(scheme), {}, profiles)
+        reports += [loocv_run(dataset, scheme, model, settings, shared)
                     for cell_scheme, model in cells if cell_scheme == scheme]
     return reports

@@ -67,8 +67,9 @@ def loo_folds(X, y, folds, sets=None, points=None, at=None):
             np.asarray(at, dtype=int))
 
 
-def model_from_dict(data: dict):
-    """Rebuild any fitted model from its dictionary form."""
+def model_from_dict(data: dict, n_features: int):
+    """Rebuild any fitted model of `n_features` inputs from its dictionary
+    form; a model that would read other inputs raises ValueError."""
     kind = data.get("kind")
     # imported lazily so base stays import-cycle free
     from . import cart, stepwise, svr
@@ -82,4 +83,4 @@ def model_from_dict(data: dict):
     }
     if kind not in table:
         raise ValueError(f"unknown model kind {kind!r}")
-    return table[kind].from_dict(data)
+    return table[kind].from_dict(data, n_features)

@@ -42,16 +42,19 @@ class CartNode:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CartNode":
+    def from_dict(cls, data: dict, n_features: int) -> "CartNode":
         if "feature" not in data:
             return cls(prediction=data["prediction"], count=data["count"])
+        if not 0 <= data["feature"] < n_features:
+            raise ValueError(f"CART splits on feature {data['feature']} of "
+                             f"{n_features} inputs")
         return cls(
             prediction=data["prediction"],
             count=data["count"],
             feature=data["feature"],
             threshold=data["threshold"],
-            left=cls.from_dict(data["left"]),
-            right=cls.from_dict(data["right"]),
+            left=cls.from_dict(data["left"], n_features),
+            right=cls.from_dict(data["right"], n_features),
         )
 
 
@@ -79,10 +82,10 @@ class CartModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CartModel":
+    def from_dict(cls, data: dict, n_features: int) -> "CartModel":
         meta = data["metadata"]
         return cls(
-            root=CartNode.from_dict(data["params"]["root"]),
+            root=CartNode.from_dict(data["params"]["root"], n_features),
             n_train=meta["n_train"],
             min_split=meta["min_split"],
             min_leaf=meta["min_leaf"],

@@ -51,13 +51,20 @@ class StepwiseModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "StepwiseModel":
+    def from_dict(cls, data: dict, n_features: int) -> "StepwiseModel":
         params, meta = data["params"], data["metadata"]
+        features, flags = params["feature_indices"], params["log_flags"]
+        if (len(params["coefficients"]) != len(features)
+                or len(flags) != n_features
+                or not all(0 <= j < len(flags) for j in features)):
+            raise ValueError(f"stepwise features {features} with "
+                             f"{len(flags)} log flags do not fit "
+                             f"{n_features} inputs")
         return cls(
-            feature_indices=tuple(params["feature_indices"]),
+            feature_indices=tuple(features),
             coefficients=tuple(params["coefficients"]),
             intercept=params["intercept"],
-            log_flags=tuple(bool(f) for f in params["log_flags"]),
+            log_flags=tuple(bool(f) for f in flags),
             p_values=tuple(meta["p_values"]),
             n_train=meta["n_train"],
         )

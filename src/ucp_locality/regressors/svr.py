@@ -89,8 +89,11 @@ class SvrModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SvrModel":
+    def from_dict(cls, data: dict, n_features: int) -> "SvrModel":
         params, meta = data["params"], data["metadata"]
+        if n_features != meta["n_features"]:
+            raise ValueError(f"SVR of {meta['n_features']} features does "
+                             f"not fit {n_features} inputs")
         return cls(
             support_vectors=np.array(params["support_vectors"], dtype=float).reshape(
                 len(params["coefficients"]), meta["n_features"]),

@@ -354,7 +354,7 @@ class TestCartSerialization:
         X = rng.uniform(0, 1, (30, 4))
         y = rng.uniform(0, 20, 30)
         model = cart_fit(X, y)
-        clone = model_from_dict(model.to_dict())
+        clone = model_from_dict(model.to_dict(), 4)
         for _ in range(20):
             x = rng.uniform(-0.2, 1.2, 4)
             assert clone.predict(x) == model.predict(x)

@@ -379,6 +379,32 @@ class TestPredict:
                     + self.BASE) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("model,corrupt", [
+        ("stepwise", lambda m: m["params"].update(feature_indices=[9],
+                                                  coefficients=[1.0])),
+        ("cart", lambda m: m["params"]["root"].update(feature=9)),
+        ("ensemble", lambda m: m["params"]["weights"].pop("svr")),
+        ("ensemble", lambda m: m["params"]["models"]["stepwise"]["params"]
+         .update(log_flags=[False])),
+    ], ids=["stepwise-feature", "cart-feature", "ensemble-weight",
+            "ensemble-log-flags"])
+    def test_inconsistent_model_file_is_user_error(self, data_csv, tmp_path,
+                                                   capsys, model, corrupt):
+        # a saved artifact edited to read a feature past the project's four
+        # size features, or to lack a base model's weight, is refused on
+        # load rather than failing inside the prediction
+        artifact = tmp_path / "model.json"
+        assert main(["predict", "--data", data_csv, "--model", model,
+                     "--save-model", str(artifact)] + self.BASE) == 0
+        doc = json.loads(artifact.read_text())
+        corrupt(doc["model"])
+        artifact.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["predict", "--model-file", str(artifact)]
+                    + self.BASE) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: malformed model file: ")
+
     @pytest.mark.parametrize("scheme,model,pdr", [
         ("kmeans", "karner", 20.0), ("e3", "sw", 20.0)])
     def test_baselines_ignore_the_scheme(self, data_csv, capsys, monkeypatch,

@@ -397,6 +397,18 @@ class TestEnsembleFit:
             preds = list(model.base_predictions(x).values())
             assert min(preds) - 1e-12 <= model.predict(x) <= max(preds) + 1e-12
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
+    def test_alpha_must_be_positive_and_finite(self, rng, alpha):
+        # an infinite alpha times a zero error gap is NaN, which the clamp
+        # turned into a weight of 2.3e-16 instead of 0.5
+        X, y, ucp = fixture_training(rng, 9)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sigmoid_weight(0.5, 0.5, alpha)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ensemble_fit(X, y, ucp, alpha=alpha)
+        with pytest.raises(ValueError, match="positive and finite"):
+            RunSettings(ensemble_alpha=alpha)
+
     def test_too_small_rejected(self, rng):
         X, y, ucp = fixture_training(rng, 5)
         with pytest.raises(ValueError):
@@ -405,7 +417,7 @@ class TestEnsembleFit:
     def test_serialization_round_trip(self, rng):
         X, y, ucp = fixture_training(rng, 12)
         model = ensemble_fit(X, y, ucp)
-        clone = model_from_dict(model.to_dict())
+        clone = model_from_dict(model.to_dict(), 4)
         x = rng.uniform(0, 1, 4)
         assert clone.predict(x) == pytest.approx(model.predict(x), rel=1e-15)
 

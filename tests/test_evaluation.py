@@ -386,8 +386,10 @@ class TestBenchmarkAll:
         assert calls == {"partition_by_factor": len(data20)}
 
     def test_grid_builds_each_local_set_once(self, data20, monkeypatch):
-        # an ensemble fold's local set is built once, for the grid's inner
-        # batch, and its cell fits on that same set
+        # each model's local set is built once per cell and fold; an
+        # ensemble fold's set is built once more, for the grid's one inner
+        # batch, which keys its profile by the set's ids, so no cell has to
+        # keep the scaled arrays of its sets until it runs
         models = Counter()
         local_set = evaluation._local_set
 
@@ -399,8 +401,8 @@ class TestBenchmarkAll:
         cells = Counter(r.model for r in benchmark_all(data20,
                                                        RunSettings(seed=3)))
         assert sum(cells.values()) == 42
-        assert models == {model: count * len(data20)
-                          for model, count in cells.items()}
+        assert models == {model: count * (2 if model == "ensemble" else 1)
+                          * len(data20) for model, count in cells.items()}
 
     def test_filters(self, data20):
         reports = benchmark_all(data20, RunSettings(), schemes=["e2"],

@@ -408,6 +408,6 @@ class TestStepwiseSerialization:
         X = rng.uniform(0.2, 1.0, (30, 4))
         y = 2 * X[:, 0] + rng.normal(0, 0.1, 30)
         model = stepwise_fit(X, y)
-        clone = model_from_dict(model.to_dict())
+        clone = model_from_dict(model.to_dict(), 4)
         x = rng.uniform(0.2, 1.0, 4)
         assert clone.predict(x) == model.predict(x)

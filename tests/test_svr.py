@@ -356,12 +356,12 @@ class TestSvrSerialization:
     def test_round_trip(self, rng):
         X, y = random_instance(rng, 15)
         model = svr_fit(X, y, c=3.0)
-        clone = model_from_dict(model.to_dict())
+        clone = model_from_dict(model.to_dict(), 4)
         for _ in range(10):
             x = rng.uniform(0, 1, 4)
             assert clone.predict(x) == pytest.approx(model.predict(x), rel=1e-15)
 
     def test_bias_only_round_trip(self):
         model = svr_fit(np.ones((3, 4)), np.array([1.0, 2.0, 3.0]))
-        clone = model_from_dict(model.to_dict())
+        clone = model_from_dict(model.to_dict(), 4)
         assert clone.predict(np.zeros(4)) == 2.0
