@@ -14,7 +14,7 @@ import numpy as np
 from .dataset import N_FACTORS, validate_factor_score
 from .regressors.cart import DEFAULT_MAX_DEPTH, DEFAULT_MIN_LEAF, DEFAULT_MIN_SPLIT
 from .regressors.cart import cart_fit, cart_fit_loo
-from .regressors.base import loo_train_rows
+from .regressors.base import finite_number, loo_train_rows
 from .regressors.stepwise import ALPHA_REMOVE as STEPWISE_ALPHA
 from .regressors.stepwise import MIN_TRAIN as STEPWISE_MIN_TRAIN
 # also bound here: perfbench's tracer resolves it in this module
@@ -283,7 +283,7 @@ class EnsembleModel:
         params = data["params"]
         models = {name: model_from_dict(params["models"][name], n_features)
                   for name in BASE_MODELS}
-        weights = {name: WeightBreakdown(*params["weights"][name])
+        weights = {name: WeightBreakdown(*map(finite_number, params["weights"][name]))
                    for name in BASE_MODELS}
         return cls(models=models, weights=weights, alpha=params["alpha"],
                    n_train=data["metadata"]["n_train"])

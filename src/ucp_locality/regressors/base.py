@@ -67,6 +67,24 @@ def loo_folds(X, y, folds, sets=None, points=None, at=None):
             np.asarray(at, dtype=int))
 
 
+def finite_number(value) -> float:
+    """An artifact's number as a float; anything but a finite JSON number
+    (a bool, a string, NaN or an infinity) raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def feature_index(value, n_features: int) -> int:
+    """An artifact's feature index; anything but an int (not a bool) in
+    0..n_features - 1 raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or not 0 <= value < n_features:
+        raise ValueError(f"feature index {value!r} is not within 0..{n_features - 1}")
+    return value
+
+
 def model_from_dict(data: dict, n_features: int):
     """Rebuild any fitted model of `n_features` inputs from its dictionary
     form; a model that would read other inputs raises ValueError."""

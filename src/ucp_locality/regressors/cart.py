@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import loo_folds, stacks, training_arrays
+from .base import feature_index, finite_number, loo_folds, stacks, training_arrays
 
 DEFAULT_MIN_SPLIT = 8
 DEFAULT_MIN_LEAF = 4
@@ -45,14 +45,11 @@ class CartNode:
     def from_dict(cls, data: dict, n_features: int) -> "CartNode":
         if "feature" not in data:
             return cls(prediction=data["prediction"], count=data["count"])
-        if not 0 <= data["feature"] < n_features:
-            raise ValueError(f"CART splits on feature {data['feature']} of "
-                             f"{n_features} inputs")
         return cls(
             prediction=data["prediction"],
             count=data["count"],
-            feature=data["feature"],
-            threshold=data["threshold"],
+            feature=feature_index(data["feature"], n_features),
+            threshold=finite_number(data["threshold"]),
             left=cls.from_dict(data["left"], n_features),
             right=cls.from_dict(data["right"], n_features),
         )

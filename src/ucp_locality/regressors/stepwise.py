@@ -17,7 +17,8 @@ import numpy as np
 
 from ..preprocess import normality_check
 from ..stats import t_two_sided_p
-from .base import loo_folds, loo_train_rows, stacks, training_arrays
+from .base import (feature_index, finite_number, loo_folds, loo_train_rows,
+                   stacks, training_arrays)
 
 ALPHA_REMOVE = 0.05
 MIN_TRAIN = 6
@@ -55,15 +56,14 @@ class StepwiseModel:
         params, meta = data["params"], data["metadata"]
         features, flags = params["feature_indices"], params["log_flags"]
         if (len(params["coefficients"]) != len(features)
-                or len(flags) != n_features
-                or not all(0 <= j < len(flags) for j in features)):
+                or len(flags) != n_features):
             raise ValueError(f"stepwise features {features} with "
                              f"{len(flags)} log flags do not fit "
                              f"{n_features} inputs")
         return cls(
-            feature_indices=tuple(features),
-            coefficients=tuple(params["coefficients"]),
-            intercept=params["intercept"],
+            feature_indices=tuple(feature_index(j, n_features) for j in features),
+            coefficients=tuple(finite_number(c) for c in params["coefficients"]),
+            intercept=finite_number(params["intercept"]),
             log_flags=tuple(bool(f) for f in flags),
             p_values=tuple(meta["p_values"]),
             n_train=meta["n_train"],
@@ -76,35 +76,8 @@ def _exact_p_values(design: np.ndarray, y: np.ndarray,
     t statistics meaningless, so each coefficient is judged by its
     contribution instead (0 if it matters, 1 if not)."""
     y_scale = max(float(np.std(y)), abs(float(y.mean())), 1.0)
-    p_values = np.empty(design.shape[1])
-    for j in range(design.shape[1]):
-        contribution = abs(coefs[j]) * max(float(np.std(design[:, j])), 1.0)
-        p_values[j] = 0.0 if contribution > 1e-9 * y_scale else 1.0
-    return p_values
-
-
-def _t_test_p_values(gram: np.ndarray, coefs: np.ndarray, rss: np.ndarray,
-                     dof: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-sided t-test p-values of stacked fits' coefficients from their
-    Gram matrices, and which fits have a Gram matrix that cannot be
-    inverted (their p-values are meaningless)."""
-    singular = np.zeros(gram.shape[0], dtype=bool)
-    try:
-        xtx_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        # a stacked inverse fails when any member is singular
-        xtx_inv = np.empty_like(gram)
-        for s, matrix in enumerate(gram):
-            try:
-                xtx_inv[s] = np.linalg.inv(matrix)
-            except np.linalg.LinAlgError:
-                singular[s] = True
-                xtx_inv[s] = np.eye(gram.shape[1])
-    variance = (rss / dof)[:, None] * np.diagonal(xtx_inv, axis1=1, axis2=2)
-    se = np.sqrt(np.maximum(variance, 0.0))
-    t = np.zeros_like(coefs)
-    np.divide(coefs, se, out=t, where=se > 0)
-    return t_two_sided_p(t, dof), singular
+    contribution = np.abs(coefs) * np.maximum(np.std(design, axis=0), 1.0)
+    return np.where(contribution > 1e-9 * y_scale, 0.0, 1.0)
 
 
 def _vif_drop(Z: np.ndarray, active: list[int]) -> int:
@@ -132,13 +105,19 @@ def _fit_sets(Xs: np.ndarray, ys: np.ndarray) -> list[StepwiseModel]:
     """The stepwise model of each training set (Xs[s], ys[s]).
 
     The sets' eliminations run in lockstep.  Each step removes one feature
-    from every set that goes on, so all live sets have the same number of
-    active features and their designs form one C-contiguous (sets, n,
-    1 + features) stack.  Each set gets its own least-squares solve; the
-    residuals, Gram matrices, t statistics and p-values are computed over
-    the stack.  Every operation sees the numbers and memory layout a lone
-    fit would, so each model is the same bit for bit whatever sets it is
-    fit with.  A set leaves the stack when its elimination stops.
+    from every set that goes on, so all live sets have the same number p
+    of design columns (the intercept and the active features), and their
+    augmented matrices [1 X y] form one (sets, n, p + 1) stack.  One
+    R-only QR factorization of that stack gives each set's R, Q'y and
+    residual norm (Golub & Van Loan, Matrix Computations, 4th ed., 5.3):
+    a set is rank deficient when its smallest |R_jj| is within
+    eps * max(n, p) of its largest (LAPACK's rcond rule), and otherwise
+    its coefficients are R^-1 Q'y, its residual sum of squares R[p, p]^2
+    and its (X'X)^-1 diagonal the row sums of R^-1 * R^-1.  Every
+    operation runs the same LAPACK, BLAS or elementwise code on each set
+    that a lone fit would, so each model is the same bit for bit whatever
+    sets it is fit with.  A set leaves the stack when its elimination
+    stops.
 
     `Xs` must be C-contiguous; its log-flagged columns are log-scaled in
     place.
@@ -156,31 +135,34 @@ def _fit_sets(Xs: np.ndarray, ys: np.ndarray) -> list[StepwiseModel]:
     active = np.tile(np.arange(n_features), (n_sets, 1))
     while live.size and active.shape[1]:
         m, p = live.size, active.shape[1] + 1
-        designs = np.empty((m, n, p))
-        designs[:, :, 0] = 1.0
-        for c in range(p - 1):
-            designs[:, :, 1 + c] = Xs[live, :, active[:, c]]
+        # zero rows up to p + 1 give R a residual row when n <= p
+        augmented = np.zeros((m, max(n, p + 1), p + 1))
+        augmented[:, :n, 0] = 1.0
+        augmented[:, :n, 1:p] = np.swapaxes(Xs[live[:, None], :, active], 1, 2)
         y = ys[live]
-        coefs = np.empty((m, p))
-        deficient = np.empty(m, dtype=bool)
-        for g in range(m):
-            coefs[g], _, rank, _ = np.linalg.lstsq(designs[g], y[g], rcond=None)
-            deficient[g] = rank < p
-        residuals = y - (designs @ coefs[:, :, None])[:, :, 0]
-        rss = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
+        augmented[:, :n, p] = y
+        r = np.linalg.qr(augmented, mode="r")
+        r_diag = np.abs(np.diagonal(r[:, :p, :p], axis1=1, axis2=2))
+        deficient = (r_diag.min(axis=1)
+                     <= np.finfo(float).eps * max(n, p) * r_diag.max(axis=1))
+        # a deficient set's R^-1 is not used: the identity stands in for it
+        r[deficient, :p, :p] = np.eye(p)
+        r_inv = np.linalg.inv(r[:, :p, :p])
+        coefs = (r_inv @ r[:, :p, p:])[:, :, 0]
+        rss = r[:, p, p] ** 2
         y_norm = (y[:, None, :] @ y[:, :, None])[:, 0, 0]
         # with no residual degrees of freedom or residuals at float-noise
         # level, t statistics are meaningless
         exact = ~deficient & ((n == p) | (rss <= 1e-24 * np.maximum(y_norm, 1e-300)))
         p_values = np.zeros((m, p))
         for g in np.nonzero(exact)[0]:
-            p_values[g] = _exact_p_values(designs[g], y[g], coefs[g])
+            p_values[g] = _exact_p_values(augmented[g, :n, :p], y[g], coefs[g])
         tested = np.nonzero(~deficient & ~exact)[0]
         if tested.size:
-            gram = np.swapaxes(designs, 1, 2) @ designs
-            p_values[tested], singular = _t_test_p_values(
-                gram[tested], coefs[tested], rss[tested], n - p)
-            deficient[tested[singular]] = True
+            variance = ((rss[tested] / (n - p))[:, None]
+                        * (r_inv[tested] ** 2).sum(axis=2))
+            p_values[tested] = t_two_sided_p(coefs[tested] / np.sqrt(variance),
+                                             n - p)
 
         feature_p = p_values[:, 1:]
         drop = np.argmax(feature_p, axis=1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import loo_folds, loo_train_rows, stacks, training_arrays
+from .base import finite_number, loo_folds, loo_train_rows, stacks, training_arrays
 
 DEFAULT_C = 1.0
 DEFAULT_EPSILON = 0.1
@@ -97,9 +97,9 @@ class SvrModel:
         return cls(
             support_vectors=np.array(params["support_vectors"], dtype=float).reshape(
                 len(params["coefficients"]), meta["n_features"]),
-            coefficients=np.array(params["coefficients"], dtype=float),
-            bias=params["bias"],
-            gamma=params["gamma"],
+            coefficients=np.array([finite_number(c) for c in params["coefficients"]]),
+            bias=finite_number(params["bias"]),
+            gamma=finite_number(params["gamma"]),
             c=meta["c"],
             epsilon=meta["epsilon"],
             tol=meta["tol"],

@@ -386,13 +386,27 @@ class TestPredict:
         ("ensemble", lambda m: m["params"]["weights"].pop("svr")),
         ("ensemble", lambda m: m["params"]["models"]["stepwise"]["params"]
          .update(log_flags=[False])),
+        ("cart", lambda m: m["params"]["root"].update(feature=1.5)),
+        ("cart", lambda m: m["params"]["root"].update(feature=True)),
+        ("cart", lambda m: m["params"]["root"].update(threshold="x")),
+        ("stepwise", lambda m: m["params"].update(feature_indices=[0.5],
+                                                  coefficients=[1.0])),
+        ("stepwise", lambda m: m["params"].update(intercept="x")),
+        ("svr", lambda m: m["params"].update(bias="x")),
+        ("svr", lambda m: m["params"].update(gamma="x")),
+        ("ensemble", lambda m: m["params"]["weights"]["svr"].__setitem__(
+            3, float("nan"))),
     ], ids=["stepwise-feature", "cart-feature", "ensemble-weight",
-            "ensemble-log-flags"])
+            "ensemble-log-flags", "cart-feature-float", "cart-feature-bool",
+            "cart-threshold-string", "stepwise-feature-float",
+            "stepwise-intercept-string", "svr-bias-string",
+            "svr-gamma-string", "ensemble-weight-nan"])
     def test_inconsistent_model_file_is_user_error(self, data_csv, tmp_path,
                                                    capsys, model, corrupt):
         # a saved artifact edited to read a feature past the project's four
-        # size features, or to lack a base model's weight, is refused on
-        # load rather than failing inside the prediction
+        # size features, to lack a base model's weight, or to hold an entry
+        # of the wrong type, is refused on load rather than failing inside
+        # the prediction
         artifact = tmp_path / "model.json"
         assert main(["predict", "--data", data_csv, "--model", model,
                      "--save-model", str(artifact)] + self.BASE) == 0

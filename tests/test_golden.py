@@ -27,8 +27,12 @@ Three sets are recorded, all with default settings:
 
 A refactor or speed-up must leave all of them unchanged.
 
-When a change alters these numbers on purpose, re-record them by running
-the commands below and copying the outputs over the old files:
+When a change alters these numbers on purpose, re-record all of them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which runs the commands below through `cli.main` in a temporary directory
+and writes every golden set:
 
     ucp-locality synth --seed 5 --n 24 --out d.csv
     ucp-locality benchmark --data d.csv --scheme none --model ensemble --out none
@@ -68,6 +72,8 @@ only after checking that the tables agree to rounding.
 """
 
 import hashlib
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -150,3 +156,61 @@ def test_rq1_intervals_equal_golden(d40, tmp_path):
     assert expected == [f"intervals_e{i}.csv" for i in range(1, 9)]
     for name in expected:
         assert (tmp_path / name).read_bytes() == (GOLDEN / "rq1" / name).read_bytes(), name
+
+
+def manifest(out: Path, rels: list[str]) -> str:
+    """`sha256sum` output for the files `rels` under `out`."""
+    return "".join(f"{hashlib.sha256((out / rel).read_bytes()).hexdigest()}  {rel}\n"
+                   for rel in rels)
+
+
+def record(golden: Path = GOLDEN) -> None:
+    """Write every golden set from the module docstring's commands."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+
+        def run(command: str, seed: int, n: int, out: str, *args: str) -> Path:
+            # each set's data file is d.csv, the stem run.json records
+            data = tmp / f"{seed}_{n}" / "d.csv"
+            if not data.exists():
+                assert main(["synth", "--seed", str(seed), "--n", str(n),
+                             "--out", str(data)]) == 0
+            assert main([command, "--data", str(data), "--out",
+                         str(tmp / out), *args]) == 0
+            return tmp / out
+
+        def copy(out: Path, rels, name: str) -> None:
+            for rel in rels:
+                (golden / name / rel).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(out / rel, golden / name / rel)
+
+        for scheme in ("none", "e2"):
+            out = run("benchmark", 5, 24, scheme, "--scheme", scheme,
+                      "--model", "ensemble")
+            copy(out, [p.relative_to(golden / scheme).as_posix()
+                       for p in (golden / scheme).rglob("*.csv")], scheme)
+
+        out = run("benchmark", 1, 40, "grid")
+        copy(out, GRID_TABLES, "grid")
+        traces = sorted(p.relative_to(out).as_posix()
+                        for p in (out / "traces").glob("*.csv"))
+        (golden / "grid" / "MANIFEST.sha256").write_text(
+            manifest(out, ["run.json", "outliers.csv"] + traces))
+        for fmt in ("json", "md"):
+            out = run("benchmark", 1, 40, f"grid_{fmt}", "--format", fmt)
+            copy(out, [f"table4.{fmt}", f"table5.{fmt}"], "grid")
+        for fmt in ("csv", "json", "md"):
+            out = run("stats", 1, 40, f"stats_{fmt}", "--format", fmt)
+            copy(out, [f"moments.{fmt}", f"spearman.{fmt}"], "stats")
+        out = run("rq1", 1, 40, "rq1")
+        copy(out, [f"intervals_e{i}.csv" for i in range(1, 9)], "rq1")
+
+        out = run("benchmark", 42, 110, "n108")
+        copy(out, GRID_TABLES, "n108")
+        traces = sorted(p.relative_to(out).as_posix()
+                        for p in (out / "traces").glob("*.csv"))
+        (golden / "n108" / "MANIFEST.sha256").write_text(manifest(out, traces))
+
+
+if __name__ == "__main__":
+    record()

@@ -44,9 +44,43 @@ def loop_vif_drop(Z, active, seen):
     return worst_j
 
 
-def loop_stepwise_fit(X, y, seen):
-    """Reference backward elimination, one design and one step at a time;
-    adds to `seen` the name of each special branch it takes."""
+def qr_solve(design, y):
+    """One design's least-squares fit from the R-only QR of [design y], as
+    (coefficients, RSS, a function giving the (X'X)^-1 diagonal), or None
+    when R's diagonal flags the design rank deficient: its smallest |R_jj|
+    within eps * max(n, p) of its largest."""
+    n, p = design.shape
+    augmented = np.zeros((max(n, p + 1), p + 1))
+    augmented[:n, :p], augmented[:n, p] = design, y
+    r = np.linalg.qr(augmented, mode="r")
+    r_diag = np.abs(np.diag(r)[:p])
+    if r_diag.min() <= np.finfo(float).eps * max(n, p) * r_diag.max():
+        return None
+    r_inv = np.linalg.inv(r[:p, :p])
+    return r_inv @ r[:p, p], float(r[p, p] ** 2), lambda: (r_inv ** 2).sum(axis=1)
+
+
+def lstsq_solve(design, y):
+    """The same fit by `np.linalg.lstsq`, whose SVD rank flags a deficient
+    design, with the (X'X)^-1 diagonal from the inverted Gram matrix, or
+    None when that inverse fails."""
+    coefs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
+        return None
+    residuals = y - design @ coefs
+
+    def gram_inverse_diagonal():
+        try:
+            return np.diag(np.linalg.inv(design.T @ design))
+        except np.linalg.LinAlgError:
+            return None
+    return coefs, float(residuals @ residuals), gram_inverse_diagonal
+
+
+def loop_stepwise_fit(X, y, seen, solve=qr_solve):
+    """Reference backward elimination, one design and one step at a time,
+    each step's fit by `solve`; adds to `seen` the name of each special
+    branch it takes."""
     n, n_features = X.shape
     log_flags = [bool(X[:, j].min() > 0 and not normality_check(X[:, j]).is_normal)
                  for j in range(n_features)]
@@ -59,13 +93,12 @@ def loop_stepwise_fit(X, y, seen):
     while active:
         design = np.column_stack([np.ones(n)] + [Z[:, j] for j in active])
         p = design.shape[1]
-        coefs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < p:
+        solved = solve(design, y)
+        if solved is None:
             seen.add("rank deficient")
             del active[loop_vif_drop(Z, active, seen)]
             continue
-        residuals = y - design @ coefs
-        rss = float(residuals @ residuals)
+        coefs, rss, gram_inverse_diagonal = solved
         p_values = np.empty(p)
         if n == p or rss <= 1e-24 * max(float(y @ y), 1e-300):
             seen.add("exact")
@@ -74,13 +107,12 @@ def loop_stepwise_fit(X, y, seen):
                 contribution = abs(coefs[j]) * max(float(np.std(design[:, j])), 1.0)
                 p_values[j] = 0.0 if contribution > 1e-9 * y_scale else 1.0
         else:
-            try:
-                xtx_inv = np.linalg.inv(design.T @ design)
-            except np.linalg.LinAlgError:
+            xtx_inv_diagonal = gram_inverse_diagonal()
+            if xtx_inv_diagonal is None:
                 seen.add("singular gram")
                 del active[loop_vif_drop(Z, active, seen)]
                 continue
-            se = np.sqrt(np.maximum(rss / (n - p) * np.diag(xtx_inv), 0.0))
+            se = np.sqrt(np.maximum(rss / (n - p) * xtx_inv_diagonal, 0.0))
             for j in range(p):
                 t = coefs[j] / se[j] if se[j] > 0 else 0.0
                 p_values[j] = float(t_two_sided_p(t, n - p))
@@ -128,8 +160,8 @@ def raw_design(rng, kind):
 def near_constant_design(seed):
     """A raw design with one column at 3.0 and 3.0 + 1e-9, mixed with
     constant, tied and skewed columns.  Many of these make backward
-    elimination regress a constant column on the others, or leave a
-    full-rank least-squares fit whose Gram matrix is singular."""
+    elimination regress a constant column on the others, or reach a design
+    whose R has a diagonal entry at rounding level."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 30))
     columns = [np.where(rng.uniform(size=n) < 0.5, 3.0, 3.0 + 1e-9),
@@ -251,6 +283,19 @@ class TestStepwiseFit:
             assert not any(stepwise_fit(scaled, y).log_flags)
         assert raw_flags > 0
 
+    def test_no_more_rows_than_design_columns(self, rng):
+        # zero rows give R its residual row; with n == p the fit is exact
+        for n, n_features in ((6, 5), (6, 6), (7, 8)):
+            X = rng.uniform(0, 1, (n, n_features))
+            X[0] = 0.0
+            y = rng.uniform(5, 40, n)
+            seen = set()
+            model = stepwise_fit(X, y)
+            assert model.to_dict() == loop_stepwise_fit(X, y, seen).to_dict()
+            assert "exact" in seen
+            assert_same_selection(
+                model, loop_stepwise_fit(X, y, set(), solve=lstsq_solve), 1e-9)
+
     def test_too_small_rejected(self, rng):
         X = rng.uniform(0, 1, (5, 4))
         with pytest.raises(ValueError):
@@ -275,6 +320,16 @@ def loo_models(X, y, folds, sets=None):
     return models
 
 
+def assert_same_selection(model, old, rtol):
+    """`model` keeps the features and log flags of `old`, with coefficients
+    and intercept within `rtol` of its own."""
+    assert model.feature_indices == old.feature_indices
+    assert model.log_flags == old.log_flags
+    np.testing.assert_allclose((model.intercept,) + model.coefficients,
+                               (old.intercept,) + old.coefficients,
+                               rtol=rtol, atol=0)
+
+
 class TestStepwiseFitLoo:
     KINDS = ("random", "ties", "collinear", "exact", "lognormal", "constant")
 
@@ -295,7 +350,7 @@ class TestStepwiseFitLoo:
 
     def test_near_constant_designs_fit(self):
         # a constant regression target in the variance-inflation step and a
-        # singular Gram matrix after a full-rank solve both drop a feature
+        # design that R's diagonal flags rank deficient both drop a feature
         seen = set()
         for seed in range(40):
             X, y = near_constant_design(seed)
@@ -304,7 +359,65 @@ class TestStepwiseFitLoo:
             for i, model in enumerate(models):
                 assert model.to_dict() == loop_stepwise_fit(
                     np.delete(X, i, axis=0), np.delete(y, i), seen).to_dict()
-        assert seen >= {"constant target", "singular gram"}
+        assert seen >= {"constant target", "rank deficient"}
+
+    def test_qr_rule_keeps_the_lstsq_loop_models(self, rng):
+        # the old solve, one lstsq per design with t-tests from the inverted
+        # Gram matrix, is a second reference: on every kind of design the
+        # QR rule keeps the same features and log flags, and its
+        # coefficients differ only by rounding
+        rtol = 1e-9
+        seen = set()
+        for trial in range(24):
+            X, y = raw_design(rng, self.KINDS[trial % 6])
+            if trial % 12 >= 6:
+                X = minmax_apply(minmax_fit(X), X)
+            models = loo_models(X, y, range(y.size))
+            for i, model in enumerate(models):
+                old = loop_stepwise_fit(np.delete(X, i, axis=0), np.delete(y, i),
+                                        seen, solve=lstsq_solve)
+                assert_same_selection(model, old, rtol)
+        # whole designs whose Gram matrix lstsq's loop could not invert
+        for seed in (46, 49):
+            X, y = near_constant_design(seed)
+            old_seen = set()
+            old = loop_stepwise_fit(X, y, old_seen, solve=lstsq_solve)
+            assert "singular gram" in old_seen
+            assert_same_selection(stepwise_fit(X, y), old, rtol)
+        assert seen >= {"log flag", "rank deficient", "exact"}
+
+    def test_near_constant_column_is_not_significant(self):
+        # a column at log 3 and log(3 + 1e-9) that y does not depend on:
+        # the inverted Gram matrix squares its condition number, and the
+        # lstsq loop's t-test found it significant; R^-1 does not square it
+        n = 12
+        u = np.arange(n) * 7 % n / n + 0.05
+        X = np.column_stack([np.where(np.arange(n) % 2, 3.0, 3.0 + 1e-9), u])
+        y = 2.0 * u + 0.1 * np.sin(np.arange(n))
+        model = stepwise_fit(X, y)
+        assert model.log_flags[0] and model.feature_indices == (1,)
+        assert model.to_dict() == loop_stepwise_fit(X, y, set()).to_dict()
+        old = loop_stepwise_fit(X, y, set(), solve=lstsq_solve)
+        assert old.feature_indices == (0, 1)
+
+    def test_exactly_collinear_design_drops_by_variance_inflation(
+            self, rng, monkeypatch):
+        X = exactfit_features(rng, 30)
+        X[:, 3] = 2.0 * X[:, 0] - X[:, 1]
+        y = X[:, 0] + rng.normal(0, 0.2, 30)
+        calls = []
+        vif_drop = stepwise._vif_drop
+
+        def spy(Z, active):
+            calls.append(list(active))
+            return vif_drop(Z, active)
+        monkeypatch.setattr(stepwise, "_vif_drop", spy)
+        model = stepwise_fit(X, y)
+        assert calls[0] == [0, 1, 2, 3]
+        assert not {0, 1, 3} <= set(model.feature_indices)
+        seen = set()
+        assert model.to_dict() == loop_stepwise_fit(X, y, seen).to_dict()
+        assert "rank deficient" in seen
 
     def test_repeated_unordered_and_empty_folds(self, rng):
         X, y = raw_design(rng, "lognormal")
